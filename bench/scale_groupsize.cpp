@@ -1,40 +1,39 @@
 // Figure-3-shaped experiment pushed past the paper's 32 ranks: effective
-// checkpoint delay vs checkpoint-group size at 1k/4k/16k ranks on a
-// fat-tree, run on the sharded DES. Each rank-count point does one base
-// (checkpoint-free) run plus one run per group size {All, n/4, n/16, n/64};
-// points run sequentially so the sharded engine gets the whole thread
-// budget. The per-rank footprint is scaled down from the paper's 180 MiB so
-// a 16k-rank point stays a CI-sized job — the group-size *curve*, not the
-// absolute seconds, is the object of study.
+// checkpoint delay vs checkpoint-group size at 1k/4k/16k ranks, run on the
+// full protocol stack (harness::SimCluster) sharded across DES shards. Each
+// rank-count point does one base (checkpoint-free) run plus one run per
+// group size {All, n/4, n/16, n/64}; points run sequentially so the sharded
+// engine gets the whole thread budget. The PFS grows with the job — the
+// paper's 35 MB/s PVFS2 servers, max(4, n/64) of them — and the per-rank
+// footprint is scaled down from the paper's 180 MiB so a 16k-rank point
+// stays a CI-sized job: the group-size *curve*, not the absolute seconds, is
+// the object of study.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "harness/cli.hpp"
-#include "harness/scale_model.hpp"
+#include "harness/thread_budget.hpp"
 #include "net/topology.hpp"
 
 namespace {
 
 using namespace gbc;
 
-harness::ScaleConfig base_config(int nranks, const net::TopologySpec& topo,
-                                 int shards, int iterations,
-                                 double footprint_mib) {
-  harness::ScaleConfig cfg;
-  cfg.nranks = nranks;
-  cfg.shards = shards;
-  cfg.threads = 0;  // lease from the shared budget
-  cfg.net.topology = topo;
-  cfg.iterations = iterations;
-  cfg.footprint_mib = footprint_mib;
-  cfg.chunk_mib = std::min(8.0, footprint_mib);
-  cfg.pfs_servers = std::max(4, nranks / 64);
-  cfg.issuance = -1;
-  return cfg;
+harness::ClusterPreset scaled_cluster(int nranks, const net::TopologySpec& topo,
+                                      int shards, int threads) {
+  harness::ClusterPreset p = harness::icpp07_cluster();
+  p.nranks = nranks;
+  p.shards = shards;
+  p.threads = threads;
+  p.net.topology = topo;
+  p.storage.num_servers = std::max(4, nranks / 64);
+  p.storage.aggregate_cap_mbps = 35.0 * p.storage.num_servers;
+  return p;
 }
 
 }  // namespace
@@ -43,8 +42,7 @@ int main(int argc, char** argv) {
   harness::FlagSet flags("scale_groupsize");
   flags.add_int("ranks", 0, "rank count; 0 sweeps 1024, 4096, 16384");
   flags.add_int("shards", 4, "DES shards");
-  flags.add_string("topology", "fat-tree:32:2",
-                   "flat | fat-tree:<radix>:<oversub>");
+  flags.add_string("topology", "fat-tree:32", "flat | fat-tree:<radix>");
   flags.add_int("iterations", 12, "compute iterations per rank");
   flags.add_double("footprint-mib", 16.0, "checkpoint image per rank (MiB)");
   flags.add_double("issuance", 0.4, "checkpoint issuance time (s)");
@@ -63,10 +61,6 @@ int main(int argc, char** argv) {
                  flags.get_string("topology").c_str());
     return 2;
   }
-  if (flags.get_int("shards") < 1) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
 
   std::vector<int> rank_points;
   if (flags.get_int("ranks") > 0) {
@@ -74,71 +68,81 @@ int main(int argc, char** argv) {
   } else {
     rank_points = {1024, 4096, 16384};
   }
+  const int shards = flags.get_int("shards");
+  if (shards < 1 || shards > rank_points.front()) {
+    std::fprintf(stderr, "--shards must be in [1, --ranks]\n");
+    return 2;
+  }
 
-  bench::banner("group size at scale (1k-16k ranks, sharded DES)",
+  bench::banner("group size at scale (1k-16k ranks, sharded full stack)",
                 "the group-size study of Fig. 3 beyond paper scale");
 
   harness::Table t({"ranks", "group", "base_s", "eff_delay_s", "indiv_s",
-                    "total_s", "events", "balance"});
+                    "total_s", "events"});
   std::FILE* csv = std::fopen(bench::csv_path("scale_groupsize").c_str(), "w");
-  // The CSV carries only simulation-derived values (no window counts or
-  // host-side stats), so the shards-mode determinism check can require it
-  // byte-identical between --shards 1 and --shards 4.
+  // The CSV carries only simulation-derived values (no event counts, which
+  // include the shard layout's cross-shard wrappers, and no host-side
+  // stats), so the shards-mode determinism check can require it
+  // byte-identical at any --shards and any leased worker count.
   if (csv) {
     std::fprintf(csv,
                  "ranks,ckpt_group,base_seconds,effective_delay_seconds,"
-                 "individual_seconds,total_seconds,events\n");
+                 "individual_seconds,total_seconds,state_digest\n");
   }
 
+  const int threads = harness::ThreadBudget::shared().acquire(shards);
+
+  workloads::CommGroupBenchConfig wcfg;
+  wcfg.comm_group_size = 16;
+  wcfg.iterations = static_cast<std::uint64_t>(flags.get_int("iterations"));
+  wcfg.footprint_mib = flags.get_double("footprint-mib");
+  const harness::WorkloadFactory factory = [wcfg](int n) {
+    return std::make_unique<workloads::CommGroupBench>(n, wcfg);
+  };
+  const std::vector<harness::CkptRequest> request = {
+      {sim::from_seconds(flags.get_double("issuance")),
+       ckpt::Protocol::kGroupBased}};
+
   const auto wall_start = std::chrono::steady_clock::now();
-  std::uint64_t total_events = 0;
-  std::size_t points = 0;
-  int threads_used = 1;
+  harness::SweepStats stats;
+  stats.threads = threads;
   for (int nranks : rank_points) {
-    auto cfg = base_config(nranks, *topo, flags.get_int("shards"),
-                           flags.get_int("iterations"),
-                           flags.get_double("footprint-mib"));
-    const auto base = harness::run_scale_model(cfg);
-    total_events += base.events;
-    ++points;
-    threads_used = std::max(threads_used, base.threads_used);
+    const auto preset = scaled_cluster(nranks, *topo, shards, threads);
+    ckpt::CkptConfig cc;
+    const auto base = harness::run_experiment(preset, factory, cc);
+    stats.points.push_back({.events_processed = base.events_processed});
     for (int group : {0, nranks / 4, nranks / 16, nranks / 64}) {
-      cfg.ckpt_group = group;
-      cfg.issuance = sim::from_seconds(flags.get_double("issuance"));
-      const auto r = harness::run_scale_model(cfg);
-      total_events += r.events;
-      ++points;
-      const double delay = r.completion_seconds - base.completion_seconds;
+      cc.group_size = group;
+      const auto r = harness::run_experiment(preset, factory, cc, request);
+      stats.points.push_back({.events_processed = r.events_processed});
+      const auto m =
+          harness::to_delay_measurement(r, base.completion_seconds());
       t.add_row({std::to_string(nranks), bench::group_label(nranks, group),
-                 harness::Table::num(base.completion_seconds),
-                 harness::Table::num(delay),
-                 harness::Table::num(r.individual_max_seconds),
-                 harness::Table::num(r.total_ckpt_seconds),
-                 std::to_string(r.events),
-                 harness::Table::num(r.window_balance)});
+                 harness::Table::num(m.base_seconds),
+                 harness::Table::num(m.effective_delay_seconds()),
+                 harness::Table::num(m.individual_seconds()),
+                 harness::Table::num(m.total_seconds()),
+                 std::to_string(r.events_processed)});
       if (csv) {
-        std::fprintf(csv, "%d,%d,%.6f,%.6f,%.6f,%.6f,%llu\n", nranks, group,
-                     base.completion_seconds, delay, r.individual_max_seconds,
-                     r.total_ckpt_seconds,
-                     static_cast<unsigned long long>(r.events));
+        std::fprintf(csv, "%d,%d,%.6f,%.6f,%.6f,%.6f,%016llx\n", nranks, group,
+                     m.base_seconds, m.effective_delay_seconds(),
+                     m.individual_seconds(), m.total_seconds(),
+                     static_cast<unsigned long long>(r.state_digest()));
       }
     }
   }
+  harness::ThreadBudget::shared().release(threads);
   if (csv) std::fclose(csv);
   t.print();
 
-  harness::SweepStats stats;
-  stats.threads = threads_used;
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
-  stats.points.resize(points);
-  if (points) stats.points[0].events_processed = total_events;
   const std::string sweep_name =
-      flags.get_int("ranks") > 0
-          ? "scale_groupsize/" + std::to_string(flags.get_int("ranks"))
-          : "scale_groupsize/sweep";
+      "scale_groupsize_fullstack/" +
+      (flags.get_int("ranks") > 0 ? std::to_string(flags.get_int("ranks"))
+                                  : std::string("sweep"));
   bench::report_sweep(sweep_name, stats);
   return 0;
 }

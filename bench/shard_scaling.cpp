@@ -1,16 +1,10 @@
-// Shard-scaling microbenchmark: one fixed scale-model configuration run at
-// 1, 2, 4 and 8 shards. Reports host events/s per shard count plus the
-// events-per-window balance — on a many-core host the wall time drops with
-// shards; on a constrained CI box (where the thread budget degrades every
-// run to one worker) the balance statistics still validate that the
-// partition would parallelize. State hashes are printed so a scaling run
-// doubles as a determinism check: every row must agree.
-//
-// --fullstack switches to the real protocol stack (the `gbcsim run`
-// configuration: MiniMPI + Fabric + a group-based checkpoint): each row
-// additionally reports the per-shard processed-event split and shard 0's
-// share — the number the per-rank LP partition (DESIGN.md §13) is supposed
-// to drive from ~100% down to the service traffic.
+// Shard-scaling benchmark: the full protocol stack (the `gbcsim run`
+// configuration: MiniMPI + Fabric + two group-based checkpoints) run at 1, 2
+// and 4 shards. Each row reports host events/s, the per-shard
+// processed-event split and shard 0's share — the number the per-rank LP
+// partition (DESIGN.md §13) is supposed to drive from ~100% down to the
+// service traffic. State hashes are printed so a scaling run doubles as a
+// determinism check: every row must agree.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -21,42 +15,12 @@
 #include "bench_util.hpp"
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
-#include "harness/scale_model.hpp"
 #include "harness/sim_cluster.hpp"
-#include "net/topology.hpp"
 #include "workloads/microbench.hpp"
 
 namespace {
 
 using namespace gbc;
-
-void append_record(const std::string& name, int ranks, int shards,
-                   int threads, double wall,
-                   const gbc::harness::ScaleResult& r) {
-  const char* json = std::getenv("GBC_BENCH_JSON");
-  if (!json || !*json) return;
-  std::FILE* f = std::fopen(json, "a");
-  if (!f) return;
-  const char* sha = std::getenv("GBC_GIT_SHA");
-  const double ev = static_cast<double>(r.events);
-  std::fprintf(f,
-               "{\"sweep\":\"%s\",\"git_sha\":\"%s\",\"ranks\":%d,"
-               "\"shards\":%d,\"threads\":%d,\"points\":1,"
-               "\"wall_seconds\":%.6f,\"events\":%lld,"
-               "\"events_per_second\":%.0f,\"windows\":%lld,"
-               "\"rounds\":%lld,\"windows_per_event\":%.6f,"
-               "\"cross_events\":%lld,\"cross_ratio\":%.6f,"
-               "\"window_balance\":%.4f}\n",
-               name.c_str(), sha && *sha ? sha : "unknown", ranks, shards,
-               threads, wall, static_cast<long long>(r.events),
-               wall > 0 ? ev / wall : 0.0, static_cast<long long>(r.windows),
-               static_cast<long long>(r.rounds),
-               ev > 0 ? static_cast<double>(r.windows) / ev : 0.0,
-               static_cast<long long>(r.cross_events),
-               ev > 0 ? static_cast<double>(r.cross_events) / ev : 0.0,
-               r.window_balance);
-  std::fclose(f);
-}
 
 // One full-stack run at a given shard/thread split. Mirrors
 // harness::run_experiment but keeps the cluster in scope so the per-shard
@@ -239,16 +203,8 @@ int run_fullstack_sweep(int ranks, std::uint64_t iterations) {
 
 int main(int argc, char** argv) {
   harness::FlagSet flags("shard_scaling");
-  flags.add_int("ranks", 0,
-                "simulated MPI processes (0 = 1024 scale model, 32 fullstack)");
-  flags.add_int("iterations", 0,
-                "compute iterations per rank (0 = 30 scale model, "
-                "240 fullstack)");
-  flags.add_string("topology", "fat-tree:32:2",
-                   "flat | fat-tree:<radix>:<oversub>");
-  flags.add_bool("fullstack", false,
-                 "run the real protocol stack (gbcsim run config) instead of "
-                 "the scale model; reports the per-shard event split");
+  flags.add_int("ranks", 32, "simulated MPI processes");
+  flags.add_int("iterations", 240, "compute iterations per rank");
   if (!flags.parse(argc - 1, argv + 1)) {
     if (flags.help_requested()) {
       std::fputs(flags.usage().c_str(), stdout);
@@ -258,81 +214,11 @@ int main(int argc, char** argv) {
                  flags.usage().c_str());
     return 2;
   }
-  const auto topo = net::parse_topology(flags.get_string("topology"));
-  if (!topo) {
-    std::fprintf(stderr, "invalid --topology '%s'\n",
-                 flags.get_string("topology").c_str());
+  if (flags.get_int("ranks") < 1 || flags.get_int("iterations") < 1) {
+    std::fprintf(stderr, "--ranks and --iterations must be >= 1\n");
     return 2;
   }
-
-  if (flags.get_bool("fullstack")) {
-    // The real stack simulates far fewer ranks than the scale model.
-    const int ranks = flags.get_int("ranks") > 0 ? flags.get_int("ranks") : 32;
-    const int iters =
-        flags.get_int("iterations") > 0 ? flags.get_int("iterations") : 240;
-    return run_fullstack_sweep(ranks, static_cast<std::uint64_t>(iters));
-  }
-
-  bench::banner("shard scaling (events/s vs DES shards)",
-                "the scaling methodology of Sec. 5");
-
-  harness::ScaleConfig cfg;
-  cfg.nranks = flags.get_int("ranks") > 0 ? flags.get_int("ranks") : 1024;
-  cfg.iterations =
-      flags.get_int("iterations") > 0 ? flags.get_int("iterations") : 30;
-  cfg.net.topology = *topo;
-  cfg.footprint_mib = 8.0;
-  cfg.chunk_mib = 4.0;
-  cfg.ckpt_group = cfg.nranks / 4;
-  cfg.pfs_servers = std::max(4, cfg.nranks / 64);
-  cfg.issuance = sim::from_milliseconds(300);
-
-  harness::Table t({"shards", "threads", "wall_s", "events", "Mev_per_s",
-                    "windows", "rounds", "cross", "balance", "state_hash"});
-  std::FILE* csv = std::fopen(bench::csv_path("shard_scaling").c_str(), "w");
-  if (csv) {
-    std::fprintf(csv,
-                 "shards,threads,wall_seconds,events,events_per_second,"
-                 "windows,rounds,cross_events,window_balance,state_hash\n");
-  }
-  std::uint64_t first_hash = 0;
-  bool hashes_agree = true;
-  for (int shards : {1, 2, 4, 8}) {
-    cfg.shards = shards;
-    cfg.threads = 0;  // lease from the shared budget
-    const auto start = std::chrono::steady_clock::now();
-    const auto r = harness::run_scale_model(cfg);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    if (shards == 1) first_hash = r.state_hash;
-    hashes_agree = hashes_agree && r.state_hash == first_hash;
-    char hash[32];
-    std::snprintf(hash, sizeof hash, "%016llx",
-                  static_cast<unsigned long long>(r.state_hash));
-    t.add_row({std::to_string(shards), std::to_string(r.threads_used),
-               harness::Table::num(wall), std::to_string(r.events),
-               harness::Table::num(static_cast<double>(r.events) / wall / 1e6),
-               std::to_string(r.windows), std::to_string(r.rounds),
-               std::to_string(r.cross_events),
-               harness::Table::num(r.window_balance), hash});
-    if (csv) {
-      std::fprintf(csv, "%d,%d,%.6f,%llu,%.0f,%llu,%llu,%llu,%.4f,%016llx\n",
-                   shards, r.threads_used, wall,
-                   static_cast<unsigned long long>(r.events),
-                   wall > 0 ? static_cast<double>(r.events) / wall : 0.0,
-                   static_cast<unsigned long long>(r.windows),
-                   static_cast<unsigned long long>(r.rounds),
-                   static_cast<unsigned long long>(r.cross_events),
-                   r.window_balance,
-                   static_cast<unsigned long long>(r.state_hash));
-    }
-    append_record("shard_scaling/" + std::to_string(shards), cfg.nranks,
-                  shards, r.threads_used, wall, r);
-  }
-  if (csv) std::fclose(csv);
-  t.print();
-  std::printf("\nstate hashes %s across shard counts\n",
-              hashes_agree ? "IDENTICAL" : "DIVERGED");
-  return hashes_agree ? 0 : 1;
+  return run_fullstack_sweep(
+      flags.get_int("ranks"),
+      static_cast<std::uint64_t>(flags.get_int("iterations")));
 }

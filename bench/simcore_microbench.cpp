@@ -13,12 +13,33 @@
 #include "mpi/minimpi.hpp"
 #include "net/fabric.hpp"
 #include "sim/engine.hpp"
+#include "sim/lp_bus.hpp"
+#include "sim/shard_engine.hpp"
 #include "storage/storage.hpp"
 #include "workloads/microbench.hpp"
 
 namespace {
 
 using namespace gbc;
+
+// Fabric + MiniMPI on a single-shard LP topology, wired the way
+// harness::SimCluster wires the full stack with one shard.
+struct MpiStack {
+  explicit MpiStack(int n)
+      : eng(sharded.shard(0)),
+        bus(sharded, n, net::NetConfig{}.floor_hop()),
+        fabric({}, n, bus),
+        mpi(eng, fabric, {}) {}
+  ~MpiStack() { bus.clear(); }
+  MpiStack(const MpiStack&) = delete;
+  MpiStack& operator=(const MpiStack&) = delete;
+
+  sim::ShardedEngine sharded{sim::ShardedEngine::Options{}};
+  sim::Engine& eng;
+  sim::LpBus bus;
+  net::Fabric fabric;
+  mpi::MiniMPI mpi;
+};
 
 void BM_EngineScheduleDispatch(benchmark::State& state) {
   for (auto _ : state) {
@@ -113,11 +134,9 @@ BENCHMARK(BM_StorageRebalance)->Arg(8)->Arg(64);
 void BM_MpiPingPong(benchmark::State& state) {
   const int msgs = 200;
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, 2);
-    mpi::MiniMPI mpi(eng, fabric, {});
+    MpiStack s(2);
     for (int r = 0; r < 2; ++r) {
-      eng.spawn([](mpi::MiniMPI& m, int me, int n) -> sim::Task<void> {
+      s.eng.spawn([](mpi::MiniMPI& m, int me, int n) -> sim::Task<void> {
         auto& rk = m.rank(me);
         const mpi::Comm& wc = m.world();
         for (int i = 0; i < n; ++i) {
@@ -129,9 +148,9 @@ void BM_MpiPingPong(benchmark::State& state) {
             co_await rk.send(wc, 0, 1, 4096);
           }
         }
-      }(mpi, r, msgs));
+      }(s.mpi, r, msgs));
     }
-    eng.run();
+    s.eng.run();
   }
   state.SetItemsProcessed(state.iterations() * msgs * 2);
 }
@@ -164,19 +183,17 @@ BENCHMARK(BM_MsgAlloc);
 void BM_Allreduce(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, n);
-    mpi::MiniMPI mpi(eng, fabric, {});
+    MpiStack s(n);
     for (int r = 0; r < n; ++r) {
-      eng.spawn([](mpi::MiniMPI& m, int me) -> sim::Task<void> {
+      s.eng.spawn([](mpi::MiniMPI& m, int me) -> sim::Task<void> {
         auto& rk = m.rank(me);
         for (int i = 0; i < 10; ++i) {
           (void)co_await rk.allreduce(m.world(), mpi::Op::kSum,
                                       mpi::vec(1.0));
         }
-      }(mpi, r));
+      }(s.mpi, r));
     }
-    eng.run();
+    s.eng.run();
   }
   state.SetItemsProcessed(state.iterations() * 10);
 }
@@ -185,16 +202,14 @@ BENCHMARK(BM_Allreduce)->Arg(8)->Arg(32);
 void BM_GroupCheckpointCycle(benchmark::State& state) {
   const int group = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Engine eng;
-    net::Fabric fabric(eng, {}, 32);
-    storage::StorageSystem fs(eng, storage::StorageConfig{});
-    mpi::MiniMPI mpi(eng, fabric, {});
+    MpiStack s(32);
+    storage::StorageSystem fs(s.eng, storage::StorageConfig{});
     ckpt::CkptConfig cc;
     cc.group_size = group;
-    ckpt::CheckpointService svc(mpi, fs, cc);
+    ckpt::CheckpointService svc(s.mpi, fs, cc);
     svc.set_footprint_provider([](int) { return storage::mib(16); });
     svc.request_at(0, ckpt::Protocol::kGroupBased);
-    eng.run();
+    s.eng.run();
     benchmark::DoNotOptimize(svc.history().size());
   }
 }

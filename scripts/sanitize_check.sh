@@ -8,9 +8,11 @@
 # threads: the sweep pool (label `sweep`), the staging-tier suites
 # (label `storage`, swept 8-wide by the fig8 determinism check), the
 # sharded DES (label `shard`: SPSC mailbox stress, window-barrier pool,
-# thread budget, scale-model runs), the full protocol stack under relay
-# sharding (label `fullshard`: `gbcsim run --shards 4` byte-identity plus
-# the multi-threaded SimCluster integration suite), the erasure tier
+# thread budget and its sweep x shards composition, the 4k-rank
+# `gbcsim run` smoke and the group-size study's shard determinism), the
+# full protocol stack under per-rank LP sharding (label `fullshard`:
+# `gbcsim run --shards 4` byte-identity plus the multi-threaded SimCluster
+# integration suite), the erasure tier
 # (label `erasure`: the GF(256) codec, parity-group recovery, and the fig9
 # shard-determinism run), and the federated service LPs (label `svcshard`:
 # per-group coordinator dispatch, root-LP recovery of a dead coordinator,

@@ -39,6 +39,16 @@ struct RunResult {
   std::int64_t tier_images_encoded = 0;  ///< erasure stripes placed
 
   double completion_seconds() const { return sim::to_seconds(completion); }
+  /// Order-sensitive FNV-1a digest of the final per-rank state hashes: any
+  /// event-order divergence (e.g. between shard layouts) lands here.
+  std::uint64_t state_digest() const {
+    std::uint64_t d = 1469598103934665603ull;
+    for (std::uint64_t h : final_hashes) {
+      d ^= h;
+      d *= 1099511628211ull;
+    }
+    return d;
+  }
 };
 
 /// Runs one deterministic simulation of `make(n)` on the preset cluster,

@@ -14,10 +14,10 @@ struct ClusterPreset {
   /// logical process owned by shard rank*S/nranks (its matcher, send pump
   /// and NIC state run there); shard 0 additionally hosts the service LP
   /// (storage, connection manager, checkpoint coordinator). All cross-LP
-  /// interaction flows over the sim::LpBus with canonical inbox ordering,
-  /// so sharded SimCluster runs are event-for-event identical to serial
-  /// ones (DESIGN.md §13). Must be in [1, nranks]. The topology knob lives
-  /// in net.topology.
+  /// interaction flows over the sim::LpBus, whose settle sweeps deliver in
+  /// a canonical order, so sharded SimCluster runs are event-for-event
+  /// identical to serial ones (DESIGN.md §13). Must be in [1, nranks]. The
+  /// topology knob lives in net.topology.
   int shards = 1;
   /// Worker threads driving the shards, clamped to [1, shards]; 1 runs all
   /// shards inline (identical results at any thread count).

@@ -1,17 +1,9 @@
 #include "harness/sim_cluster.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 namespace gbc::harness {
-
-sim::Time SimCluster::bus_floor(const ClusterPreset& p) {
-  // = Fabric::floor_hop(): NIC overhead + minimum propagation delay, the
-  // cheapest cross-LP interaction the model ever posts.
-  return p.net.per_message_overhead +
-         p.net.wire_latency * std::max(1, p.net.topology.min_hops());
-}
 
 sim::ShardedEngine::Options SimCluster::engine_options(
     const ClusterPreset& p) {
@@ -26,7 +18,7 @@ sim::ShardedEngine::Options SimCluster::engine_options(
   // Uniform conservative horizon: every cross-LP message (wire flight,
   // control hop, RPC leg) respects the bus floor, whichever shards its
   // endpoints live on.
-  o.lookahead = bus_floor(p);
+  o.lookahead = p.net.floor_hop();
   if (o.lookahead <= 0) {
     throw std::invalid_argument(
         "SimCluster: sharded runs need per_message_overhead + wire_latency "
@@ -41,8 +33,8 @@ SimCluster::SimCluster(const ClusterPreset& preset,
     : preset_(preset),
       sharded_(engine_options(preset)),
       eng_(sharded_.shard(0)),
-      bus_(sharded_, preset_.nranks, bus_floor(preset)),
-      fabric_(eng_, preset_.net, preset_.nranks, &bus_),
+      bus_(sharded_, preset_.nranks, preset_.net.floor_hop()),
+      fabric_(preset_.net, preset_.nranks, bus_),
       fs_(eng_, preset_.storage),
       mpi_(eng_, fabric_, preset_.mpi),
       ckpt_(mpi_, fs_, ckpt_cfg) {

@@ -133,42 +133,33 @@ int ConnectionManager::established_count() const {
 // Fabric
 // ---------------------------------------------------------------------------
 
-Fabric::Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
-               sim::LpBus* bus)
-    : eng_(eng),
+Fabric::Fabric(NetConfig cfg, int n_endpoints, sim::LpBus& bus)
+    : eng_(bus.engine_of(bus.svc_lp())),
       cfg_(cfg),
       n_(n_endpoints),
+      bus_(bus),
       receivers_(n_endpoints),
-      staging_(static_cast<std::size_t>(n_endpoints)),
-      traffic_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0),
-      msgcount_(static_cast<std::size_t>(n_endpoints) * n_endpoints, 0) {
-  if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology, n_endpoints);
-  if (bus == nullptr) {
-    own_bus_ = std::make_unique<sim::LpBus>(eng_, n_, floor_hop());
-    bus_ = own_bus_.get();
-  } else {
-    bus_ = bus;
-  }
+      staging_(static_cast<std::size_t>(n_endpoints)) {
+  if (!cfg_.topology.flat()) tree_.emplace(cfg_.topology);
   rank_net_.reserve(n_);
   for (int r = 0; r < n_; ++r) {
-    rank_net_.push_back(std::make_unique<RankNet>(bus_->engine_of(r)));
+    rank_net_.push_back(std::make_unique<RankNet>(bus_.engine_of(r)));
   }
-  const int shards = bus_->shards();
+  const int shards = bus_.shards();
   flight_pool_.reserve(shards);
   for (int s = 0; s < shards; ++s) {
     flight_pool_.push_back(std::make_unique<sim::Pool<FlightRec>>(256));
   }
   return_stack_ = std::make_unique<ReturnStack[]>(shards);
   conn_mgr_ =
-      std::make_unique<ConnectionManager>(eng, *this, n_endpoints, cfg);
+      std::make_unique<ConnectionManager>(eng_, *this, n_endpoints, cfg);
 }
 
 Fabric::~Fabric() {
-  // The cluster aborts the engines and clears the bus before members are
+  // The owner aborts the engines and clears the bus before the fabric is
   // destroyed, so every in-flight record has been pushed onto its return
   // stack by now. Sweep them home so the pools' liveness assert holds.
-  if (own_bus_) own_bus_->clear();
-  for (int s = 0; s < bus_->shards(); ++s) reclaim(s);
+  for (int s = 0; s < bus_.shards(); ++s) reclaim(s);
 }
 
 sim::Time Fabric::latency(int src, int dst) const {
@@ -187,13 +178,15 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   const int src = p.src;
   const int dst = p.dst;
   RankNet& rn = *rank_net_[src];
-  sim::Engine& src_eng = bus_->engine_of(src);
+  sim::Engine& src_eng = bus_.engine_of(src);
   ++rn.packets;
   rn.bytes += p.bytes;
+  // Sender-side ownership: only src's shard touches src's outbound records.
+  RankNet::Outbound& out = rn.out[dst];
+  ++out.in_flight;
   if (data_plane) {
-    // Sender-row ownership: only src's shard writes row src.
-    traffic_[static_cast<std::size_t>(src) * n_ + dst] += p.bytes;
-    ++msgcount_[static_cast<std::size_t>(src) * n_ + dst];
+    out.bytes += p.bytes;
+    ++out.messages;
   }
   // Serialize on the sender NIC.
   const double bps =
@@ -204,22 +197,21 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   const sim::Time done = start + cfg_.per_message_overhead + xfer;
   rn.nic_busy = done;
   const sim::Time arrival = done + latency(src, dst);
-  ++rn.out[dst];
-  const int home = bus_->shard_of(src);
+  const int home = bus_.shard_of(src);
   FlightRec* rec = acquire_rec(home);
   rec->pkt = std::move(p);
-  rec->oseq = bus_->next_oseq(src);
+  rec->oseq = bus_.next_oseq(src);
   rec->fab = this;
   rec->home_shard = home;
-  // arrival >= now + per_message_overhead + min_latency = now + floor, so
-  // this respects the lookahead floor at any shard layout.
-  if (bus_->shard_of(dst) == home) {
+  // arrival >= now + per_message_overhead + minimum latency = now + floor,
+  // so this respects the lookahead floor at any shard layout.
+  if (bus_.shard_of(dst) == home) {
     // Same-shard fast path: the delivery goes straight into the
     // destination's settle bucket at the arrival time — no FlightArrive
     // wrapper event, and the record never leaves its home pool's shard.
-    bus_->inbox_push_at(dst, src, rec->oseq, arrival, FlightDeliver{rec});
+    bus_.inbox_push_at(dst, src, rec->oseq, arrival, FlightDeliver{rec});
   } else {
-    bus_->post_raw(src, dst, arrival, FlightArrive{rec});
+    bus_.post_raw(src, dst, arrival, FlightArrive{rec});
   }
   // Sender-side completion: the packet leaves the in-flight lane at its
   // arrival instant (drain watches these counters). It rides the sender's
@@ -227,9 +219,9 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   // only sender-owned state is touched — so the decrement lands at the same
   // canonical point (before the sorted deliveries at the arrival sweep) in
   // serial and sharded runs alike, without paying for an origin sequence.
-  bus_->settle_at(src, arrival, [this, src, dst] {
+  bus_.settle_at(src, arrival, [this, src, dst] {
     RankNet& s = *rank_net_[src];
-    if (--s.out[dst] == 0) s.out_cv.notify_all();
+    if (--s.out[dst].in_flight == 0) s.out_cv.notify_all();
   });
 }
 
@@ -237,14 +229,14 @@ void Fabric::FlightArrive::operator()() {
   FlightRec* r = std::exchange(rec, nullptr);
   // Runs on the destination's shard at the arrival time: enter the inbox so
   // same-instant arrivals deliver in canonical (origin, oseq) order.
-  r->fab->bus_->inbox_push(r->pkt.dst, r->pkt.src, r->oseq, FlightDeliver{r});
+  r->fab->bus_.inbox_push(r->pkt.dst, r->pkt.src, r->oseq, FlightDeliver{r});
 }
 
 void Fabric::FlightDeliver::operator()() {
   FlightRec* r = std::exchange(rec, nullptr);
   Fabric* f = r->fab;
   Packet p = std::move(r->pkt);
-  f->recycle_local(r, f->bus_->shard_of(p.dst));
+  f->recycle_local(r, f->bus_.shard_of(p.dst));
   f->deliver(std::move(p));
 }
 
@@ -286,7 +278,7 @@ sim::Task<void> Fabric::ensure_connected_from(int src, int dst) {
   while (link.mirror != ConnState::kConnected) {
     if (link.mirror == ConnState::kDisconnected && !link.requested) {
       link.requested = true;
-      bus_->send(src, bus_->svc_lp(), [this, src, dst] {
+      bus_.send(src, bus_.svc_lp(), [this, src, dst] {
         eng_.spawn(conn_mgr_->ensure_connected(src, dst));
       });
     }
@@ -308,18 +300,17 @@ sim::Task<void> Fabric::drain_outbound(int src, int dst) {
 }
 
 std::int64_t Fabric::outbound_in_flight(int src, int dst) const {
-  const std::int64_t* n = rank_net_[src]->out.find(dst);
-  return n == nullptr ? 0 : *n;
+  const RankNet::Outbound* o = outbound(src, dst);
+  return o == nullptr ? 0 : o->in_flight;
 }
 
 void Fabric::request_lock(int ep) {
-  bus_->send(ep, bus_->svc_lp(),
-             [this, ep] { conn_mgr_->lock_endpoint(ep); });
+  bus_.send(ep, bus_.svc_lp(), [this, ep] { conn_mgr_->lock_endpoint(ep); });
 }
 
 void Fabric::request_unlock(int ep) {
-  bus_->send(ep, bus_->svc_lp(),
-             [this, ep] { conn_mgr_->unlock_endpoint(ep); });
+  bus_.send(ep, bus_.svc_lp(),
+            [this, ep] { conn_mgr_->unlock_endpoint(ep); });
 }
 
 sim::Task<void> Fabric::bulk_transfer(int src, int dst, Bytes bytes) {
@@ -327,7 +318,7 @@ sim::Task<void> Fabric::bulk_transfer(int src, int dst, Bytes bytes) {
   // Runs on src's home engine: callers (replica copies, erasure scatters,
   // restore staging) are routed to the source node's LP, so the lane state
   // below is only ever touched from src's shard.
-  sim::Engine& eng = bus_->engine_of(src);
+  sim::Engine& eng = bus_.engine_of(src);
   StagingLane& lane = staging_[static_cast<std::size_t>(src)];
   ++lane.packets;
   lane.bytes += bytes;
@@ -367,31 +358,40 @@ std::size_t Fabric::flight_recs_outstanding() const noexcept {
   return total;
 }
 
+const Fabric::RankNet::Outbound* Fabric::outbound(int src, int dst) const {
+  return rank_net_[src]->out.find(dst);
+}
+
 Bytes Fabric::bytes_between(int a, int b) const {
-  return traffic_[static_cast<std::size_t>(a) * n_ + b] +
-         traffic_[static_cast<std::size_t>(b) * n_ + a];
+  Bytes sum = 0;
+  if (const auto* o = outbound(a, b)) sum += o->bytes;
+  if (const auto* o = outbound(b, a)) sum += o->bytes;
+  return sum;
 }
 
 std::int64_t Fabric::messages_between(int a, int b) const {
-  return msgcount_[static_cast<std::size_t>(a) * n_ + b] +
-         msgcount_[static_cast<std::size_t>(b) * n_ + a];
+  std::int64_t sum = 0;
+  if (const auto* o = outbound(a, b)) sum += o->messages;
+  if (const auto* o = outbound(b, a)) sum += o->messages;
+  return sum;
 }
 
 std::vector<std::int64_t> Fabric::traffic_matrix() const {
   std::vector<std::int64_t> m(static_cast<std::size_t>(n_) * n_, 0);
   for (int a = 0; a < n_; ++a) {
-    for (int b = a + 1; b < n_; ++b) {
-      const std::int64_t sum = bytes_between(a, b);
-      m[static_cast<std::size_t>(a) * n_ + b] = sum;
-      m[static_cast<std::size_t>(b) * n_ + a] = sum;
+    for (const auto& [b, o] : rank_net_[a]->out) {
+      if (b == a) continue;
+      m[static_cast<std::size_t>(a) * n_ + b] += o.bytes;
+      m[static_cast<std::size_t>(b) * n_ + a] += o.bytes;
     }
   }
   return m;
 }
 
 std::vector<std::int64_t> Fabric::copy_traffic_row(int src) const {
-  const auto base = traffic_.begin() + static_cast<std::size_t>(src) * n_;
-  return std::vector<std::int64_t>(base, base + n_);
+  std::vector<std::int64_t> row(static_cast<std::size_t>(n_), 0);
+  for (const auto& [dst, o] : rank_net_[src]->out) row[dst] = o.bytes;
+  return row;
 }
 
 }  // namespace gbc::net

@@ -41,10 +41,17 @@ struct NetConfig {
   sim::Time qp_transition = sim::from_microseconds(200);  ///< RESET→RTS etc.
   sim::Time teardown_cost = sim::from_microseconds(300);
   /// Interconnect shape. The flat default reproduces the paper-scale
-  /// crossbar exactly; `fat-tree:<radix>:<oversub>` makes end-to-end
-  /// latency hop-counted (wire_latency per switch hop) and is what the
-  /// sharded scale model contends per switch port on.
+  /// crossbar exactly; `fat-tree:<radix>` makes end-to-end latency
+  /// hop-counted (wire_latency per switch hop).
   TopologySpec topology;
+
+  /// The cheapest cross-LP interaction the model ever posts: NIC overhead
+  /// plus the minimum propagation delay. This is the LpBus floor and the
+  /// sharded engine's uniform conservative lookahead.
+  sim::Time floor_hop() const {
+    return per_message_overhead +
+           wire_latency * std::max(1, topology.min_hops());
+  }
 };
 
 /// Classification of a transfer; the meaning of ids is owned by the MPI
@@ -230,9 +237,9 @@ class ConnectionManager {
 /// ## Per-rank ownership (DESIGN.md §13)
 ///
 /// Every piece of mutable per-rank state — the NIC busy horizon, the
-/// sender-side in-flight counters, the connection mirrors, the traffic
-/// matrix rows — is owned by the rank's home shard; transmit() must run
-/// there. Flights travel as pooled FlightRecs posted straight to the
+/// per-peer outbound records (in-flight counts and traffic sent), the
+/// connection mirrors — is owned by the rank's home shard; transmit() must
+/// run there. Flights travel as pooled FlightRecs posted straight to the
 /// destination rank's shard, where delivery goes through the LpBus inbox so
 /// the order among same-instant arrivals is canonical at any shard count.
 /// Records recycle to their home shard's pool over a lock-free return
@@ -241,35 +248,21 @@ class Fabric {
  public:
   using Deliver = std::function<void(Packet)>;
 
-  /// `bus` connects the fabric to the cluster's LP topology; when null (the
-  /// direct-construction test path) the fabric builds a single-engine bus
-  /// of its own on `eng` and every LP runs serially on it.
-  Fabric(sim::Engine& eng, NetConfig cfg, int n_endpoints,
-         sim::LpBus* bus = nullptr);
+  /// `bus` connects the fabric to the cluster's LP topology: rank state
+  /// lives on each rank's home shard, the connection manager on the
+  /// service LP's.
+  Fabric(NetConfig cfg, int n_endpoints, sim::LpBus& bus);
   ~Fabric();
 
   int size() const noexcept { return n_; }
   const NetConfig& config() const noexcept { return cfg_; }
   sim::Engine& engine() noexcept { return eng_; }
   ConnectionManager& connections() noexcept { return *conn_mgr_; }
-  sim::LpBus& bus() noexcept { return *bus_; }
+  sim::LpBus& bus() noexcept { return bus_; }
 
   /// End-to-end propagation delay src -> dst: wire_latency on a crossbar,
   /// wire_latency per switch hop on a fat-tree.
   sim::Time latency(int src, int dst) const;
-
-  /// Lower bound of latency() over all distinct pairs — the conservative
-  /// lookahead a sharded run of this fabric may use (sim::ShardedEngine):
-  /// no cross-endpoint interaction can take effect sooner than this.
-  sim::Time min_latency() const {
-    return cfg_.wire_latency *
-           std::max(1, cfg_.topology.min_hops());
-  }
-  /// The lookahead-matrix floor every cross-LP message respects: NIC
-  /// overhead plus the minimum propagation delay.
-  sim::Time floor_hop() const {
-    return cfg_.per_message_overhead + min_latency();
-  }
 
   void set_receiver(int ep, Deliver d) { receivers_[ep] = std::move(d); }
 
@@ -322,15 +315,16 @@ class Fabric {
   /// ~Fabric, whose pool destructors assert none leak).
   std::uint64_t flight_recs_reused() const noexcept;
   std::size_t flight_recs_outstanding() const noexcept;
+  /// Data-plane bytes / messages exchanged by a and b, both directions.
   Bytes bytes_between(int a, int b) const;
   std::int64_t messages_between(int a, int b) const;
   /// Data-plane traffic matrix (bytes), indexed [a*n+b], symmetrized from
-  /// the per-sender rows. Only valid at quiescent points; during a run use
-  /// copy_traffic_row() from each rank's own shard.
+  /// the per-sender records (zero diagonal). Only valid at quiescent
+  /// points; during a run use copy_traffic_row() from each rank's own shard.
   std::vector<std::int64_t> traffic_matrix() const;
-  /// Copies src's outbound traffic row (bytes to each peer). Call on src's
-  /// shard; this is the race-free gather primitive dynamic group formation
-  /// uses mid-run.
+  /// Copies src's outbound traffic row (bytes to each peer, zero for ranks
+  /// it never sent to). Call on src's shard; this is the race-free gather
+  /// primitive dynamic group formation uses mid-run.
   std::vector<std::int64_t> copy_traffic_row(int src) const;
 
   /// Applies a connection-state mirror update at endpoint `ep` for `peer`
@@ -410,6 +404,9 @@ class Fabric {
         if (s.first == peer) return &s.second;
       return nullptr;
     }
+    /// (peer, value) pairs in first-contact order.
+    auto begin() const { return slots_.begin(); }
+    auto end() const { return slots_.end(); }
 
    private:
     std::deque<std::pair<int, V>> slots_;
@@ -429,11 +426,20 @@ class Fabric {
     };
     PeerTable<Link> links;
     sim::Condition conn_cv;
-    /// Sender-side in-flight packets per destination.
-    PeerTable<std::int64_t> out;
+    /// Per-destination sender-side record: packets in flight (drain watches
+    /// it) and data-plane traffic sent (group formation reads it). Sparse:
+    /// one slot per peer this rank ever transmitted to.
+    struct Outbound {
+      std::int64_t in_flight = 0;
+      Bytes bytes = 0;
+      std::int64_t messages = 0;
+    };
+    PeerTable<Outbound> out;
     sim::Condition out_cv;
   };
 
+  /// src's record for dst, or null if src never transmitted to dst.
+  const RankNet::Outbound* outbound(int src, int dst) const;
   void enqueue(Packet p, bool data_plane);
   void deliver(Packet p);
   FlightRec* acquire_rec(int shard);
@@ -445,8 +451,7 @@ class Fabric {
   NetConfig cfg_;
   int n_;
   std::optional<FatTree> tree_;  // engaged when topology is fat-tree
-  std::unique_ptr<sim::LpBus> own_bus_;
-  sim::LpBus* bus_;
+  sim::LpBus& bus_;
   std::vector<Deliver> receivers_;
   std::vector<std::unique_ptr<RankNet>> rank_net_;
   // Flight pools: one per shard, owned by that shard's worker; the return
@@ -463,10 +468,6 @@ class Fabric {
     Bytes bytes = 0;
   };
   std::vector<StagingLane> staging_;
-  // Data-plane accounting, sender-row ownership: row src is written only by
-  // src's shard.
-  std::vector<std::int64_t> traffic_;   // bytes, [src*n+dst]
-  std::vector<std::int64_t> msgcount_;  // messages, [src*n+dst]
 };
 
 }  // namespace gbc::net

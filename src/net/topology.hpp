@@ -9,16 +9,14 @@ namespace gbc::net {
 
 /// Interconnect shape. The seed model (`kFlat`) is a full crossbar: every
 /// pair one wire_latency apart, contention only at the sender NIC. The
-/// fat-tree adds the structure that matters past ~1k ranks: ranks hang off
-/// leaf switches of a given radix, leaves connect to a spine tier whose
-/// width is radix / oversubscription, and both switch tiers contend per
-/// port. Parsed from the CLI as `flat` or `fat-tree:<radix>:<oversub>`.
+/// fat-tree hangs ranks off leaf switches of a given radix, so latency is
+/// hop-counted: one switch hop more for a pair that crosses the spine.
+/// Parsed from the CLI as `flat` or `fat-tree:<radix>`.
 struct TopologySpec {
   enum class Kind : std::uint8_t { kFlat, kFatTree };
 
   Kind kind = Kind::kFlat;
-  int radix = 16;        ///< ranks per leaf switch (fat-tree only)
-  double oversub = 1.0;  ///< leaf uplink oversubscription factor (>= 1)
+  int radix = 16;  ///< ranks per leaf switch (fat-tree only)
 
   bool flat() const noexcept { return kind == Kind::kFlat; }
   /// Minimum switch hops between two distinct ranks: 0 on a crossbar,
@@ -26,27 +24,18 @@ struct TopologySpec {
   int min_hops() const noexcept { return flat() ? 0 : 2; }
 };
 
-/// Parses `flat` or `fat-tree:<radix>:<oversub>` (e.g. `fat-tree:32:2`).
-/// Returns nullopt on malformed input, unknown kind, radix < 2 or
-/// oversub < 1.
+/// Parses `flat` or `fat-tree:<radix>` (e.g. `fat-tree:32`). Returns
+/// nullopt on malformed input, unknown kind or radix < 2.
 std::optional<TopologySpec> parse_topology(std::string_view s);
 
 /// Inverse of parse_topology, for --help text and bench metadata.
 std::string topology_to_string(const TopologySpec& spec);
 
-/// Concrete two-tier fat-tree instantiated for a rank count: leaf membership,
-/// deterministic ECMP spine selection and hop counts. Pure arithmetic — the
-/// contention state (per-port busy times) lives with whoever models the
-/// queues (net::Fabric for the full stack, harness/scale_model for the
-/// sharded scale runs), because the two track time differently.
+/// Two-tier fat-tree: leaf membership and hop counts. Pure arithmetic;
+/// net::Fabric turns hops into latency.
 class FatTree {
  public:
-  FatTree(const TopologySpec& spec, int nranks);
-
-  int nranks() const noexcept { return nranks_; }
-  int radix() const noexcept { return spec_.radix; }
-  int nleaf() const noexcept { return nleaf_; }
-  int nspine() const noexcept { return nspine_; }
+  explicit FatTree(const TopologySpec& spec) : spec_(spec) {}
 
   int leaf_of(int rank) const noexcept { return rank / spec_.radix; }
   bool same_leaf(int a, int b) const noexcept {
@@ -56,16 +45,8 @@ class FatTree {
   /// Switch hops between two ranks: 2 within a leaf, 4 across leaves.
   int hops(int a, int b) const noexcept { return same_leaf(a, b) ? 2 : 4; }
 
-  /// ECMP: the spine a given (src, dst) flow crosses. A deterministic hash
-  /// of the pair — stable across runs, shard counts and thread counts — so
-  /// routing never becomes a hidden source of nondeterminism.
-  int spine_for(int src, int dst) const noexcept;
-
  private:
   TopologySpec spec_;
-  int nranks_;
-  int nleaf_;
-  int nspine_;
 };
 
 }  // namespace gbc::net

@@ -16,9 +16,8 @@
 namespace gbc::sim {
 
 /// Which shard owns logical process `lp` when `nlps` LPs are split across
-/// `shards` contiguous blocks. This is the single ownership rule shared by
-/// the scale model and the full protocol stack (DESIGN.md §13): rank r lives
-/// on shard r*S/n, and the root service LP (id = nlps) is pinned to shard 0.
+/// `shards` contiguous blocks (DESIGN.md §13): rank r lives on shard r*S/n,
+/// and the root service LP (id = nlps) is pinned to shard 0.
 constexpr int lp_owner_shard(int lp, int nlps, int shards) {
   return static_cast<int>(static_cast<std::int64_t>(lp) * shards / nlps);
 }
@@ -56,25 +55,19 @@ constexpr int lp_owner_shard(int lp, int nlps, int shards) {
 /// Handlers run inside the sweep only touch their own LP's state (the LP
 /// discipline), so the interleaving of *different* LPs' handlers at one
 /// (shard, t) — the only thing the layout can change — is unobservable.
-///
-/// In single-engine mode (direct-construction tests and serial tools) every
-/// LP shares one engine and every send takes the fast path, so serial and
-/// sharded runs deliver in the same canonical order.
+/// With one shard every send takes the fast path, so serial and sharded
+/// runs deliver in the same canonical order.
 class LpBus {
  public:
-  /// Sharded mode: rank LPs in contiguous blocks across se.shards().
+  /// Rank LPs in contiguous blocks across se.shards().
   LpBus(ShardedEngine& se, int nranks, Time floor)
-      : se_(&se), nranks_(nranks), floor_(floor) {
+      : se_(se),
+        nranks_(nranks),
+        floor_(floor),
+        shards_(static_cast<std::size_t>(se.shards())),
+        oseq_(static_cast<std::size_t>(nranks) + 1),
+        delivered_(static_cast<std::size_t>(nranks) + 1, 0) {
     assert(floor_ > 0 && "LpBus floor must be positive");
-    init(se.shards());
-  }
-
-  /// Single-engine mode: every LP lives on `eng` (direct-construction
-  /// tests and serial tools).
-  LpBus(Engine& eng, int nranks, Time floor)
-      : single_(&eng), nranks_(nranks), floor_(floor) {
-    assert(floor_ > 0 && "LpBus floor must be positive");
-    init(1);
   }
 
   LpBus(const LpBus&) = delete;
@@ -82,17 +75,17 @@ class LpBus {
 
   int nranks() const noexcept { return nranks_; }
   /// The root service LP: connection manager, shared PFS, inter-group
-  /// checkpoint sequencing and ledger commit. Group coordinators and
-  /// storage servers live on rank LPs (harness/service_map.hpp).
+  /// checkpoint sequencing and ledger commit. Group coordinators run on the
+  /// home LP of their group's lowest rank, and each node's staging-tier
+  /// partition on its own rank LP (DESIGN.md §15).
   int svc_lp() const noexcept { return nranks_; }
   /// Minimum cross-LP message latency (the lookahead-matrix floor).
   Time floor() const noexcept { return floor_; }
 
-  int shards() const noexcept { return se_ ? se_->shards() : 1; }
+  int shards() const noexcept { return se_.shards(); }
 
   int shard_of(int lp) const {
-    if (!se_) return 0;
-    return lp >= nranks_ ? 0 : lp_owner_shard(lp, nranks_, se_->shards());
+    return lp >= nranks_ ? 0 : lp_owner_shard(lp, nranks_, se_.shards());
   }
 
   /// Lowest rank LP owned by shard `s` (the inverse of lp_owner_shard for
@@ -104,9 +97,7 @@ class LpBus {
         (static_cast<std::int64_t>(s) * nranks_ + S - 1) / S);
   }
 
-  Engine& engine_of(int lp) {
-    return single_ ? *single_ : se_->shard(shard_of(lp));
-  }
+  Engine& engine_of(int lp) { return se_.shard(shard_of(lp)); }
 
   /// Next canonical sequence number for messages originated by `origin`.
   /// Must be called on origin's shard; assignment order equals origin's
@@ -148,13 +139,7 @@ class LpBus {
   /// path, whose wrapper pushes into the bucket itself on arrival. `t` must
   /// respect the floor.
   void post_raw(int src_lp, int dst_lp, Time t, InlineFn fn) {
-    const int ss = shard_of(src_lp);
-    const int ds = shard_of(dst_lp);
-    if (!se_ || ss == ds) {
-      engine_of(dst_lp).schedule_at(t, std::move(fn));
-    } else {
-      se_->post(ss, ds, t, std::move(fn));
-    }
+    se_.post(shard_of(src_lp), shard_of(dst_lp), t, std::move(fn));
   }
 
   /// Delivers `fn` into dst's settle bucket at absolute time t, clamped up
@@ -165,13 +150,13 @@ class LpBus {
     const std::uint64_t oseq = next_oseq(src_lp);
     const int ss = shard_of(src_lp);
     const int ds = shard_of(dst_lp);
-    if (!se_ || ss == ds) {
+    if (ss == ds) {
       inbox_push_at(dst_lp, src_lp, oseq, t_eff, std::move(fn));
     } else {
-      se_->post(ss, ds, t_eff,
-                [this, dst_lp, src_lp, oseq, fn = std::move(fn)]() mutable {
-                  inbox_push(dst_lp, src_lp, oseq, std::move(fn));
-                });
+      se_.post(ss, ds, t_eff,
+               [this, dst_lp, src_lp, oseq, fn = std::move(fn)]() mutable {
+                 inbox_push(dst_lp, src_lp, oseq, std::move(fn));
+               });
     }
   }
 
@@ -197,7 +182,7 @@ class LpBus {
 
   /// Messages delivered to `lp` so far (settle-sweep executions). Owner
   /// shard writes, anyone may read at a quiescent point — the per-LP event
-  /// split bench/shard_scaling --fullstack reports.
+  /// split bench/shard_scaling reports.
   std::uint64_t delivered(int lp) const {
     return delivered_[static_cast<std::size_t>(lp)];
   }
@@ -247,16 +232,6 @@ class LpBus {
     std::uint64_t v = 0;
   };
 
-  void init(int nshards) {
-    oseq_.resize(static_cast<std::size_t>(nranks_) + 1);
-    delivered_.assign(static_cast<std::size_t>(nranks_) + 1, 0);
-    shards_.resize(static_cast<std::size_t>(nshards));
-  }
-
-  Engine& engine_of_shard(int s) {
-    return single_ ? *single_ : se_->shard(s);
-  }
-
   /// The settle bucket for (shard, t), creating it — and scheduling the
   /// shard's back-band sweep at t — on first touch. Buckets are kept
   /// sorted by t; inserts land at/near the back in practice (arrivals are
@@ -275,8 +250,7 @@ class LpBus {
       }
       b.t = t;
       it = st.buckets.insert(it, std::move(b));
-      engine_of_shard(shard).schedule_at_back(
-          t, [this, shard] { sweep(shard); });
+      se_.shard(shard).schedule_at_back(t, [this, shard] { sweep(shard); });
     }
     return *it;
   }
@@ -297,7 +271,7 @@ class LpBus {
   /// same-instant arrivals are already in.
   void sweep(int shard) {
     ShardState& st = shards_[shard];
-    Engine& eng = engine_of_shard(shard);
+    Engine& eng = se_.shard(shard);
     if (st.buckets.empty() || st.buckets.front().t != eng.now()) {
       return;  // bus cleared under a still-queued sweep (aborted run)
     }
@@ -324,8 +298,7 @@ class LpBus {
     st.pool.push_back(std::move(batch));
   }
 
-  ShardedEngine* se_ = nullptr;
-  Engine* single_ = nullptr;
+  ShardedEngine& se_;
   int nranks_;
   Time floor_;
   std::vector<ShardState> shards_;

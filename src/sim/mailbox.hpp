@@ -15,18 +15,10 @@ namespace gbc::sim {
 /// (t, src_shard, seq) totally orders every cross-shard message — the key
 /// the coordinator merges mailboxes by, which is what keeps sharded runs
 /// byte-deterministic regardless of thread timing.
-///
-/// When `reserved` is set, `seq` is instead a sequence number reserved on
-/// the *destination* engine at send time (Engine::reserve_seq): injection
-/// re-uses it verbatim, so the destination executes the exact (t, seq)
-/// stream a serial run would have — the mechanism the full protocol stack
-/// uses to stay byte-identical under sharding (see ShardedEngine::
-/// post_reserved).
 struct CrossEvent {
   Time t = 0;
   std::uint64_t seq = 0;
   InlineFn fn;
-  bool reserved = false;
 };
 
 /// Unbounded lock-free single-producer / single-consumer queue.

@@ -6,7 +6,6 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <string>
 #include <thread>
 
 namespace gbc::sim {
@@ -51,7 +50,7 @@ struct ShardedEngine::Pool {
   std::vector<std::thread> workers;
 };
 
-ShardedEngine::ShardedEngine(const Options& opts) : trace_(opts.trace) {
+ShardedEngine::ShardedEngine(const Options& opts) {
   if (opts.shards < 1) {
     throw std::invalid_argument("ShardedEngine: shards must be >= 1");
   }
@@ -155,24 +154,7 @@ void ShardedEngine::post(int src, int dst, Time t, InlineFn fn) {
                  matrix_[static_cast<std::size_t>(src) * shards() + dst] &&
          "cross-shard post inside the conservative horizon");
   ++from.stats.cross_sent;
-  from.out[dst]->push(CrossEvent{t, from.next_seq++, std::move(fn), false});
-}
-
-void ShardedEngine::post_reserved(int src, int dst, Time t, std::uint64_t seq,
-                                  InlineFn fn) {
-  assert(src >= 0 && src < shards() && dst >= 0 && dst < shards());
-  if (src == dst) {
-    shards_[src]->eng.schedule_at_reserved(t, seq, std::move(fn));
-    return;
-  }
-  Shard& from = *shards_[src];
-  assert(matrix_[static_cast<std::size_t>(src) * shards() + dst] != kNoLink &&
-         "cross-shard post on a pair the lookahead matrix declares silent");
-  assert(t >= from.eng.now() +
-                 matrix_[static_cast<std::size_t>(src) * shards() + dst] &&
-         "cross-shard post inside the conservative horizon");
-  ++from.stats.cross_sent;
-  from.out[dst]->push(CrossEvent{t, seq, std::move(fn), true});
+  from.out[dst]->push(CrossEvent{t, from.next_seq++, std::move(fn)});
 }
 
 std::size_t ShardedEngine::drain_and_inject() {
@@ -191,16 +173,13 @@ std::size_t ShardedEngine::drain_and_inject() {
       auto& mb = *sh.out[dst];
       while (mb.pop(ev)) {
         batch_.push_back(Staged{ev.t, static_cast<std::uint32_t>(src), ev.seq,
-                                static_cast<std::uint32_t>(dst), ev.reserved,
+                                static_cast<std::uint32_t>(dst),
                                 std::move(ev.fn)});
       }
     }
   }
   // Deterministic merge order (t, src, seq); a round with <= 1 cross event
-  // skips the sort. The drain order above is itself deterministic, so equal
-  // keys (possible only between a reserved and a fresh-seq event, which
-  // live in different sequence spaces) keep a stable, thread-independent
-  // order too.
+  // skips the sort. Keys are unique: seq is per-source-shard monotonic.
   if (batch_.size() > 1) {
     std::sort(batch_.begin(), batch_.end(),
               [](const Staged& a, const Staged& b) {
@@ -215,11 +194,7 @@ std::size_t ShardedEngine::drain_and_inject() {
   for (Staged& st : batch_) {
     Engine& de = shards_[st.dst]->eng;
     injected_[st.dst] = true;
-    if (st.reserved) {
-      de.schedule_at_reserved(st.t, st.seq, std::move(st.fn));
-    } else {
-      de.schedule_at(st.t, std::move(st.fn));
-    }
+    de.schedule_at(st.t, std::move(st.fn));
   }
   return batch_.size();
 }
@@ -273,22 +248,6 @@ void ShardedEngine::stop_pool() {
   pool_->start_cv.notify_all();
   for (auto& w : pool_->workers) w.join();
   pool_.reset();
-}
-
-void ShardedEngine::emit_trace_spans() {
-  if (trace_ == nullptr || !trace_->enabled()) return;
-  for (int s = 0; s < shards(); ++s) {
-    if (ends_[s] == 0) continue;
-    const Shard& sh = *shards_[s];
-    const std::uint64_t n =
-        sh.eng.events_processed() - sh.events_before_window;
-    if (n == 0) continue;
-    const std::string cat = "shard/" + std::to_string(s) + "/window";
-    const Time t0 = next_[s];
-    const Time end = ends_[s] == kMaxSimTime ? sh.eng.now() : ends_[s];
-    trace_->add(t0, -2 - s, cat, "begin");
-    trace_->add(end, -2 - s, cat, "end events=" + std::to_string(n));
-  }
 }
 
 void ShardedEngine::run_rounds(Time cap) {
@@ -372,8 +331,6 @@ void ShardedEngine::run_rounds(Time cap) {
       std::unique_lock<std::mutex> lk(pool_->m);
       pool_->done_cv.wait(lk, [&] { return pool_->done == threads_ - 1; });
     }
-
-    emit_trace_spans();
 
     for (auto& sh : shards_) {
       if (sh->error) {

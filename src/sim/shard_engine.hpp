@@ -6,12 +6,11 @@
 
 #include "sim/engine.hpp"
 #include "sim/mailbox.hpp"
-#include "sim/trace.hpp"
 
 namespace gbc::sim {
 
 /// Per-shard execution counters, the basis for the events-per-window load
-/// balance statistics the scale benchmarks report.
+/// balance statistics the shard benchmarks report.
 struct ShardStats {
   std::uint64_t events = 0;            ///< events this shard dispatched
   std::uint64_t busy_windows = 0;      ///< rounds in which it dispatched any
@@ -69,9 +68,10 @@ struct ShardStats {
 ///
 /// Determinism does NOT depend on the thread count or the shard->thread
 /// assignment; it does depend on the shard *count* only through the model's
-/// LP discipline (a disciplined model is shard-count-invariant too; see
-/// harness/scale_model.cpp for the inbox discipline, and post_reserved for
-/// the stronger serial-replay contract the full protocol stack uses).
+/// LP discipline. The full protocol stack is disciplined: sim::LpBus
+/// delivers every cross-LP message through a settle sweep sorted by
+/// (dst LP, origin LP, origin seq), so its runs are shard-count-invariant
+/// too.
 class ShardedEngine {
  public:
   /// Matrix entry for "these two shards never exchange messages".
@@ -94,9 +94,6 @@ class ShardedEngine {
     /// Callers should size this via harness::ThreadBudget so sweeps and
     /// sharded runs never oversubscribe the machine together.
     int threads = 1;
-    /// When set (and enabled), the coordinator emits one
-    /// `shard/<id>/window` span per busy shard per round.
-    Trace* trace = nullptr;
   };
 
   explicit ShardedEngine(const Options& opts);
@@ -117,16 +114,6 @@ class ShardedEngine {
   /// asserted) — use a same-shard schedule_at for anything closer, which
   /// post() degrades to when src == dst.
   void post(int src, int dst, Time t, InlineFn fn);
-
-  /// Like post(), but the delivery executes on `dst` under `seq`, a
-  /// sequence number previously obtained from shard(dst).reserve_seq() —
-  /// reserved at send time, on the sending shard, which must therefore hold
-  /// the destination engine's seq counter exclusively (the full-stack
-  /// pattern: the protocol stack lives on one shard and relays packet
-  /// flights through transit shards, so the stack shard's event stream is
-  /// bit-identical to a serial run).
-  void post_reserved(int src, int dst, Time t, std::uint64_t seq,
-                     InlineFn fn);
 
   /// Runs rounds until every shard's queue and every mailbox drain.
   /// Rethrows the first simulated-process error (lowest shard index).
@@ -161,7 +148,6 @@ class ShardedEngine {
   /// of cross events injected.
   std::size_t drain_and_inject();
   void stop_pool();
-  void emit_trace_spans();
 
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Time> matrix_;  // row-major L[src * S + dst]
@@ -172,7 +158,6 @@ class ShardedEngine {
   std::vector<char> injected_;  // per-round scratch: merge touched this shard
   Time lookahead_ = 0;
   int threads_ = 1;
-  Trace* trace_ = nullptr;
   std::uint64_t windows_ = 0;
   std::uint64_t rounds_ = 0;
 
@@ -183,7 +168,6 @@ class ShardedEngine {
     std::uint32_t src;
     std::uint64_t seq;
     std::uint32_t dst;
-    bool reserved;
     InlineFn fn;
   };
   std::vector<Staged> batch_;

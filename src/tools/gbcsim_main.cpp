@@ -7,11 +7,8 @@
 //   gbcsim recover  inject a failure and restart from the last checkpoint
 //   gbcsim mtbf     time-to-solution under Poisson failures
 //   gbcsim storage  the storage-bottleneck curve (Fig. 1 style)
-//   gbcsim scale    sharded scale model: paper-style run at 1k-16k ranks
 //
 // Every run is deterministic. `gbcsim <command> --help` lists the flags.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -19,9 +16,7 @@
 #include <string>
 
 #include "harness/cli.hpp"
-#include "harness/scale_model.hpp"
 #include "harness/thread_budget.hpp"
-#include "net/topology.hpp"
 #include "sim/trace_chrome.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sim_cluster.hpp"
@@ -102,8 +97,7 @@ bool apply_erasure_flag(const harness::FlagSet& flags,
   return true;
 }
 
-// Shared --shards/--threads flag group (run, scale). The two commands must
-// accept and validate the pair identically.
+// The --shards/--threads flag group of `gbcsim run`.
 void add_shard_flags(harness::FlagSet& flags) {
   flags.add_int("shards", 1,
                 "DES shards advancing in conservative-lookahead windows");
@@ -213,8 +207,8 @@ harness::WorkloadFactory make_workload(const harness::FlagSet& flags,
 }
 
 // One full-stack run (base + checkpointed), printed and appended as a CSV
-// row. The command accepts --shards/--threads: the protocol stack runs on
-// shard 0 with wire flights relayed through the other shards, and every
+// row. The command accepts --shards/--threads: each rank is a logical
+// process on its home shard and the service LP lives on shard 0, and every
 // reported column is byte-identical to the serial run at any shard/thread
 // count — which tests/determinism_check.cmake MODE=shards asserts.
 int cmd_run(int argc, const char* const* argv) {
@@ -274,13 +268,7 @@ int cmd_run(int argc, const char* const* argv) {
   auto ck = harness::run_experiment(preset, factory, cc, reqs);
   if (leased > 0) harness::ThreadBudget::shared().release(leased);
 
-  // Order-sensitive digest of the final per-rank states: any event-order
-  // divergence between serial and sharded runs lands here.
-  std::uint64_t digest = 1469598103934665603ull;  // FNV-1a
-  for (std::uint64_t h : ck.final_hashes) {
-    digest ^= h;
-    digest *= 1099511628211ull;
-  }
+  const std::uint64_t digest = ck.state_digest();
 
   const double delay = ck.completion_seconds() - base.completion_seconds();
   double individual = 0.0;
@@ -545,104 +533,6 @@ int cmd_storage(int argc, const char* const* argv) {
   return 0;
 }
 
-int cmd_scale(int argc, const char* const* argv) {
-  harness::FlagSet flags("gbcsim scale");
-  flags.add_int("ranks", 1024, "number of simulated MPI processes");
-  add_shard_flags(flags);
-  flags.add_string("topology", "fat-tree:32:2",
-                   "flat | fat-tree:<radix>:<oversub>");
-  flags.add_int("comm-group", 16, "ring communication group size");
-  flags.add_int("group-size", 0, "checkpoint group size (0 = all at once)");
-  flags.add_double("footprint-mib", 16.0, "per-process image size (MiB)");
-  flags.add_double("chunk-mib", 8.0, "checkpoint write chunk size (MiB)");
-  flags.add_int("iterations", 40, "compute iterations per rank");
-  flags.add_double("compute-ms", 100.0, "compute time per iteration (ms)");
-  flags.add_double("msg-kib", 64.0, "ring message size (KiB)");
-  flags.add_int("pfs-servers", 0, "PFS server count (0 = max(4, ranks/64))");
-  flags.add_double("issuance", 1.0, "checkpoint request time (seconds)");
-  flags.add_int("seed", 42, "compute-jitter seed");
-  flags.add_string("trace-out", "",
-                   "chrome://tracing JSON with per-shard window spans");
-  if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "%s\n%s", flags.error().c_str(),
-                 flags.usage().c_str());
-    return flags.help_requested() ? 0 : 2;
-  }
-  const auto topo = net::parse_topology(flags.get_string("topology"));
-  if (!topo) {
-    std::fprintf(stderr, "invalid --topology '%s'\n%s",
-                 flags.get_string("topology").c_str(), flags.usage().c_str());
-    return 2;
-  }
-  if (!validate_shard_flags(flags, flags.get_int("ranks"))) return 2;
-
-  harness::ScaleConfig cfg;
-  cfg.nranks = flags.get_int("ranks");
-  cfg.shards = flags.get_int("shards");
-  cfg.threads = flags.get_int("threads");
-  cfg.net.topology = *topo;
-  cfg.comm_group = std::max(1, flags.get_int("comm-group"));
-  cfg.ckpt_group = flags.get_int("group-size");
-  cfg.footprint_mib = flags.get_double("footprint-mib");
-  cfg.chunk_mib = flags.get_double("chunk-mib");
-  cfg.iterations = flags.get_int("iterations");
-  cfg.compute_per_iter = sim::from_milliseconds(flags.get_double("compute-ms"));
-  cfg.msg_bytes = static_cast<std::int64_t>(flags.get_double("msg-kib") * 1024);
-  cfg.pfs_servers = flags.get_int("pfs-servers") > 0
-                        ? flags.get_int("pfs-servers")
-                        : std::max(4, cfg.nranks / 64);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-
-  const std::string trace_out = flags.get_string("trace-out");
-  sim::Trace trace;
-  trace.enable(!trace_out.empty());
-
-  cfg.issuance = -1;  // base run: no checkpoint
-  const auto t0 = std::chrono::steady_clock::now();
-  auto base = harness::run_scale_model(cfg);
-
-  cfg.issuance = sim::from_seconds(flags.get_double("issuance"));
-  cfg.trace = &trace;
-  auto ck = harness::run_scale_model(cfg);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  if (!trace_out.empty()) {
-    std::FILE* f = std::fopen(trace_out.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", trace_out.c_str());
-      return 1;
-    }
-    const std::string json = sim::trace_to_chrome_json(trace);
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "wrote %s (%zu events)\n", trace_out.c_str(),
-                 trace.events().size());
-  }
-
-  std::printf("ranks %d, topology %s, %d shard(s) on %d thread(s)\n",
-              cfg.nranks, net::topology_to_string(*topo).c_str(), ck.shards,
-              ck.threads_used);
-  std::printf("base run                   : %9.2f s\n",
-              base.completion_seconds);
-  std::printf("with checkpoint            : %9.2f s\n", ck.completion_seconds);
-  std::printf("Effective Checkpoint Delay : %9.2f s\n",
-              ck.completion_seconds - base.completion_seconds);
-  std::printf("Individual Checkpoint Time : %9.2f s\n",
-              ck.individual_max_seconds);
-  std::printf("Total Checkpoint Time      : %9.2f s\n", ck.total_ckpt_seconds);
-  std::printf("events                     : %llu (+%llu base)\n",
-              static_cast<unsigned long long>(ck.events),
-              static_cast<unsigned long long>(base.events));
-  std::printf("windows                    : %llu (balance %.3f)\n",
-              static_cast<unsigned long long>(ck.windows), ck.window_balance);
-  std::printf("host events/s              : %.3g\n",
-              wall > 0 ? static_cast<double>(ck.events + base.events) / wall
-                       : 0.0);
-  return 0;
-}
-
 void print_toplevel_usage() {
   std::puts(
       "gbcsim — group-based coordinated checkpointing simulator\n"
@@ -655,12 +545,10 @@ void print_toplevel_usage() {
       "  recover   inject a failure and restart from the last checkpoint\n"
       "  mtbf      time-to-solution under Poisson failures\n"
       "  storage   storage-bottleneck curve (per-client bandwidth)\n"
-      "  scale     sharded scale model (1k-16k ranks, --shards/--topology)\n"
       "\n"
-      "scaling flags (run, scale):\n"
+      "scaling flags (run):\n"
       "  --shards N              partition the DES into N conservative shards\n"
       "  --threads N             worker threads (0 = lease from the budget)\n"
-      "  --topology SPEC         (scale) flat | fat-tree:<radix>:<oversub>\n"
       "\n"
       "staging-tier flags (delay/sweep/trace/recover/mtbf):\n"
       "  --tier                  enable the node-local staging tier\n"
@@ -697,7 +585,6 @@ int main(int argc, char** argv) {
   if (cmd == "recover") return cmd_recover(rest_argc, rest_argv);
   if (cmd == "mtbf") return cmd_mtbf(rest_argc, rest_argv);
   if (cmd == "storage") return cmd_storage(rest_argc, rest_argv);
-  if (cmd == "scale") return cmd_scale(rest_argc, rest_argv);
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
     print_toplevel_usage();
     return 0;

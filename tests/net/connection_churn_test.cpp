@@ -7,21 +7,18 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net_test_util.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
 namespace gbc::net {
 namespace {
 
-using sim::Engine;
 using sim::Task;
 using sim::Time;
 
-struct World {
-  Engine eng;
-  NetConfig cfg;
-  Fabric fabric;
-  explicit World(int n, NetConfig c = {}) : cfg(c), fabric(eng, cfg, n) {}
+struct World : testing::NetWorld {
+  using NetWorld::NetWorld;
   ConnectionManager& cm() { return fabric.connections(); }
 };
 
@@ -46,7 +43,7 @@ TEST(ConnectionChurn, DisconnectWaitsOutInFlightEstablishment) {
   // The teardown is preceded by the pre-teardown drain: one RPC round trip
   // per endpoint (4 bus floors).
   EXPECT_EQ(disconnected_at,
-            setup + 4 * w.fabric.floor_hop() + w.cfg.teardown_cost);
+            setup + 4 * w.cfg.floor_hop() + w.cfg.teardown_cost);
   EXPECT_EQ(w.cm().state(0, 1), ConnState::kDisconnected);
   EXPECT_EQ(w.cm().total_setups(), 1);
   EXPECT_EQ(w.cm().total_teardowns(), 1);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "net/fabric.hpp"
+#include "net_test_util.hpp"
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 #include "storage/storage.hpp"
@@ -12,16 +13,10 @@
 namespace gbc::net {
 namespace {
 
-using sim::Engine;
 using sim::Task;
 using sim::Time;
 
-struct World {
-  Engine eng;
-  NetConfig cfg;
-  Fabric fabric;
-  explicit World(int n, NetConfig c = {}) : cfg(c), fabric(eng, cfg, n) {}
-};
+using World = testing::NetWorld;
 
 Task<void> connect(Fabric& f, int a, int b) {
   return f.connections().ensure_connected(a, b);
@@ -77,7 +72,7 @@ TEST(Fabric2, DrainOnIdleConnectionReturnsImmediately) {
   // Idle drain still costs the two endpoint round trips (one RPC per side,
   // request + reply legs each): 4 bus floors on top of the setup.
   EXPECT_EQ(drained_at, w.cfg.oob_exchange + w.cfg.qp_transition +
-                            4 * w.fabric.floor_hop());
+                            4 * w.cfg.floor_hop());
 }
 
 TEST(Fabric2, ConcurrentDisconnectsResolveOnce) {
@@ -148,7 +143,7 @@ TEST(Fabric2, ManyPairsEstablishIndependently) {
   // All establishments overlap: total time = one setup, not n/2. The final
   // event is the endpoint-mirror update, one bus floor after the setup.
   EXPECT_EQ(w.eng.now(), w.cfg.oob_exchange + w.cfg.qp_transition +
-                             w.fabric.floor_hop());
+                             w.cfg.floor_hop());
 }
 
 }  // namespace

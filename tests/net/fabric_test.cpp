@@ -1,7 +1,9 @@
 #include "net/fabric.hpp"
+#include "net_test_util.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -10,16 +12,10 @@
 namespace gbc::net {
 namespace {
 
-using sim::Engine;
 using sim::Task;
 using sim::Time;
 
-struct World {
-  Engine eng;
-  NetConfig cfg;
-  Fabric fabric;
-  explicit World(int n, NetConfig c = {}) : cfg(c), fabric(eng, cfg, n) {}
-};
+using World = testing::NetWorld;
 
 Task<void> connect(Fabric& f, int a, int b) {
   return f.connections().ensure_connected(a, b);
@@ -258,6 +254,66 @@ TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
   EXPECT_EQ(w.fabric.bytes_between(1, 0), 1500);
   EXPECT_EQ(w.fabric.messages_between(0, 1), 2);
   EXPECT_EQ(w.fabric.bytes_between(0, 2), 0);  // control not counted
+}
+
+// Per-pair accounting lives in each sender's sparse per-peer records; the
+// pair, row and matrix views must read exactly the traffic sent, with zeros
+// for every pair that never exchanged data-plane packets.
+TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
+  World w(4);
+  for (int r = 0; r < 4; ++r) w.fabric.set_receiver(r, [](Packet) {});
+  w.fabric.transmit(Packet{0, 1, 1000, PacketKind::kEager, 0, nullptr});
+  w.fabric.transmit(Packet{0, 1, 500, PacketKind::kRts, 1, nullptr});
+  w.fabric.transmit(Packet{1, 0, 200, PacketKind::kCts, 2, nullptr});
+  w.fabric.transmit(Packet{2, 3, 4096, PacketKind::kRdmaData, 3, nullptr});
+  w.fabric.transmit(Packet{3, 1, 64, PacketKind::kFin, 4, nullptr});
+  w.fabric.transmit_control(Packet{0, 2, 64, PacketKind::kControl, 5,
+                                   nullptr});
+  w.eng.run();
+
+  EXPECT_EQ(w.fabric.bytes_between(0, 1), 1700);
+  EXPECT_EQ(w.fabric.bytes_between(1, 0), 1700);
+  EXPECT_EQ(w.fabric.messages_between(0, 1), 3);
+  EXPECT_EQ(w.fabric.bytes_between(2, 3), 4096);
+  EXPECT_EQ(w.fabric.messages_between(3, 2), 1);
+  EXPECT_EQ(w.fabric.bytes_between(1, 3), 64);
+  EXPECT_EQ(w.fabric.messages_between(1, 3), 1);
+  EXPECT_EQ(w.fabric.bytes_between(0, 2), 0);  // control only
+  EXPECT_EQ(w.fabric.messages_between(0, 2), 0);
+  EXPECT_EQ(w.fabric.bytes_between(0, 3), 0);  // never talked
+  EXPECT_EQ(w.fabric.messages_between(0, 3), 0);
+
+  using Row = std::vector<std::int64_t>;
+  EXPECT_EQ(w.fabric.copy_traffic_row(0), (Row{0, 1500, 0, 0}));
+  EXPECT_EQ(w.fabric.copy_traffic_row(1), (Row{200, 0, 0, 0}));
+  EXPECT_EQ(w.fabric.copy_traffic_row(2), (Row{0, 0, 0, 4096}));
+  EXPECT_EQ(w.fabric.copy_traffic_row(3), (Row{0, 64, 0, 0}));
+  EXPECT_EQ(w.fabric.traffic_matrix(), (Row{0, 1700, 0, 0,       //
+                                            1700, 0, 0, 64,      //
+                                            0, 0, 0, 4096,       //
+                                            0, 64, 4096, 0}));
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 4; ++b) {
+      EXPECT_EQ(w.fabric.outbound_in_flight(a, b), 0) << a << "->" << b;
+    }
+  }
+}
+
+// No per-pair state is dense: a 16k-endpoint fabric builds without the
+// 4 GiB n x n matrices and still accounts a send exactly.
+TEST(Fabric, SixteenKEndpointFabricCountsOneSend) {
+  constexpr int kN = 16384;
+  World w(kN);
+  w.fabric.set_receiver(kN - 1, [](Packet) {});
+  w.fabric.transmit(Packet{0, kN - 1, 4096, PacketKind::kEager, 0, nullptr});
+  w.eng.run();
+  EXPECT_EQ(w.fabric.bytes_between(0, kN - 1), 4096);
+  EXPECT_EQ(w.fabric.messages_between(kN - 1, 0), 1);
+  EXPECT_EQ(w.fabric.bytes_between(1, 2), 0);
+  const std::vector<std::int64_t> row = w.fabric.copy_traffic_row(0);
+  ASSERT_EQ(row.size(), static_cast<std::size_t>(kN));
+  EXPECT_EQ(row[kN - 1], 4096);
+  EXPECT_EQ(std::count(row.begin(), row.end(), 0), kN - 1);
 }
 
 TEST(Fabric, PayloadBodyTravelsIntact) {
