@@ -3,8 +3,11 @@
 // and 4 shards. Each row reports host events/s, the per-shard
 // processed-event split and shard 0's share — the number the per-rank LP
 // partition (DESIGN.md §13) is supposed to drive from ~100% down to the
-// service traffic. State hashes are printed so a scaling run doubles as a
-// determinism check: every row must agree.
+// service traffic — plus the engine's rounds, windows and cross-shard
+// events, which depend only on the horizon rule and the shard count, so two
+// builds' rows diff to zero when their horizons agree. State hashes are
+// printed so a scaling run doubles as a determinism check: every row must
+// agree.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -30,6 +33,9 @@ struct FullstackRow {
   double wall = 0;
   sim::Time completion = 0;
   std::uint64_t events = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t cross_events = 0;
   std::vector<std::uint64_t> shard_events;
   double shard0_share = 0;
   // Per-LP delivery split from the bus (rank LPs 0..n-1, then the root
@@ -86,6 +92,9 @@ FullstackRow run_fullstack(int nranks, int shards, int threads,
   row.threads_used = cluster.sharded().threads();
   row.completion = *std::max_element(done.begin(), done.end());
   row.events = cluster.sharded().total_events();
+  row.rounds = cluster.sharded().rounds();
+  row.windows = cluster.sharded().windows();
+  row.cross_events = cluster.sharded().cross_events();
   for (int s = 0; s < shards; ++s) {
     row.shard_events.push_back(cluster.sharded().stats(s).events);
   }
@@ -124,12 +133,16 @@ void append_fullstack_record(int ranks, int shards, const FullstackRow& r) {
                "\"mode\":\"fullstack\",\"ranks\":%d,\"shards\":%d,"
                "\"threads\":%d,\"points\":1,\"wall_seconds\":%.6f,"
                "\"events\":%llu,\"events_per_second\":%.0f,"
+               "\"rounds\":%llu,\"windows\":%llu,\"cross_events\":%llu,"
                "\"shard0_events\":%llu,\"shard0_share\":%.4f,"
                "\"service_shard0_share\":%.4f,"
                "\"shard_events\":[",
                shards, sha && *sha ? sha : "unknown", ranks, shards,
                r.threads_used, r.wall, static_cast<unsigned long long>(r.events),
                r.wall > 0 ? ev / r.wall : 0.0,
+               static_cast<unsigned long long>(r.rounds),
+               static_cast<unsigned long long>(r.windows),
+               static_cast<unsigned long long>(r.cross_events),
                static_cast<unsigned long long>(r.shard_events[0]),
                r.shard0_share, r.service_shard0_share);
   for (std::size_t s = 0; s < r.shard_events.size(); ++s) {
@@ -152,14 +165,15 @@ int run_fullstack_sweep(int ranks, std::uint64_t iterations) {
   bench::banner("shard scaling, full protocol stack (events/s vs DES shards)",
                 "per-rank LP sharding, DESIGN.md 13");
   harness::Table t({"shards", "threads", "wall_s", "completion_s", "events",
-                    "kev_per_s", "shard0_share", "svc_share", "hash"});
+                    "kev_per_s", "rounds", "windows", "cross_events",
+                    "shard0_share", "svc_share", "hash"});
   std::FILE* csv =
       std::fopen(bench::csv_path("shard_scaling_fullstack").c_str(), "w");
   if (csv) {
     std::fprintf(csv,
                  "shards,threads,wall_seconds,completion_seconds,events,"
-                 "events_per_second,shard0_events,shard0_share,"
-                 "service_shard0_share,hash\n");
+                 "events_per_second,rounds,windows,cross_events,"
+                 "shard0_events,shard0_share,service_shard0_share,hash\n");
   }
   std::uint64_t first_hash = 0;
   bool hashes_agree = true;
@@ -178,14 +192,21 @@ int run_fullstack_sweep(int ranks, std::uint64_t iterations) {
                std::to_string(r.events),
                harness::Table::num(static_cast<double>(r.events) / r.wall /
                                    1e3),
+               std::to_string(r.rounds), std::to_string(r.windows),
+               std::to_string(r.cross_events),
                harness::Table::num(r.shard0_share),
                harness::Table::num(r.service_shard0_share), hash});
     if (csv) {
-      std::fprintf(csv, "%d,%d,%.6f,%.6f,%llu,%.0f,%llu,%.4f,%.4f,%016llx\n",
+      std::fprintf(csv,
+                   "%d,%d,%.6f,%.6f,%llu,%.0f,%llu,%llu,%llu,%llu,%.4f,%.4f,"
+                   "%016llx\n",
                    shards, r.threads_used, r.wall,
                    sim::to_seconds(r.completion),
                    static_cast<unsigned long long>(r.events),
                    r.wall > 0 ? static_cast<double>(r.events) / r.wall : 0.0,
+                   static_cast<unsigned long long>(r.rounds),
+                   static_cast<unsigned long long>(r.windows),
+                   static_cast<unsigned long long>(r.cross_events),
                    static_cast<unsigned long long>(r.shard_events[0]),
                    r.shard0_share, r.service_shard0_share,
                    static_cast<unsigned long long>(r.hash));

@@ -7,7 +7,7 @@
 # A second stage rebuilds under TSan and runs the tests that actually cross
 # threads: the sweep pool (label `sweep`), the staging-tier suites
 # (label `storage`, swept 8-wide by the fig8 determinism check), the
-# sharded DES (label `shard`: SPSC mailbox stress, window-barrier pool,
+# sharded DES (label `shard`: per-shard outboxes under the round barrier,
 # thread budget and its sweep x shards composition, the 4k-rank
 # `gbcsim run` smoke and the group-size study's shard determinism), the
 # full protocol stack under per-rank LP sharding (label `fullshard`:

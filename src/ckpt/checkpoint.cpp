@@ -278,8 +278,6 @@ storage::StorageSystem& CycleContext::shared_fs() noexcept { return svc_.fs_; }
 const CkptConfig& CycleContext::config() const noexcept { return svc_.cfg_; }
 int CycleContext::nranks() const noexcept { return svc_.mpi_.nranks(); }
 
-GroupPlan CycleContext::plan_groups() const { return svc_.plan_groups(); }
-
 sim::Task<GroupPlan> CycleContext::gather_plan() {
   const CkptConfig& cfg = svc_.cfg_;
   const int n = svc_.mpi_.nranks();
@@ -325,14 +323,6 @@ void CycleContext::set_defer_active(bool on) {
   // done vector is vacuously permissive, so flipping early is safe, while
   // flipping late could let a sender slip past the first group's line.
   svc_.gate_->notify();
-}
-
-void CycleContext::mark_on_recovery_line(int rank) {
-  assert(at_root());  // the line is root-owned state
-  svc_.done_[rank] = 1;
-  if (svc_.trace_) {
-    svc_.trace_->add(svc_.eng_.now(), rank, "snapshot", "recovery line");
-  }
 }
 
 void CycleContext::notify_gate() {

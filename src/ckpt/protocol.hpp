@@ -77,10 +77,6 @@ class CycleContext {
   GlobalCheckpoint& cycle() noexcept { return gc_; }
   int nranks() const noexcept;
 
-  /// The group plan a group-based cycle would use (static or dynamic).
-  /// Quiescent aggregate read — for tests/benches; cycles use gather_plan().
-  GroupPlan plan_groups() const;
-
   /// In-cycle plan formation: gathers each rank's traffic row from its own
   /// shard by RPC (the rows are rank-owned under the sharding discipline),
   /// then runs the planner service-side.
@@ -92,14 +88,11 @@ class CycleContext {
   /// Enables/disables traffic deferral across the recovery line.
   /// Root-anchored contexts only (the flag is root-owned).
   void set_defer_active(bool on);
-  /// Flips `rank` onto the new side of the recovery line (traced).
-  /// Root-anchored contexts only; coordinators use the group form below.
-  void mark_on_recovery_line(int rank);
   /// Wakes senders blocked on the gate after the line moved. Root only.
   void notify_gate();
-  /// Coordinator form: flips a whole group onto the new side of the line
-  /// and wakes the gate, as ONE message to the root LP (which owns the
-  /// line and the gate fan-out). Works from any anchor.
+  /// Flips a whole group onto the new side of the line (traced) and wakes
+  /// the gate, as ONE message to the root LP (which owns the line and the
+  /// gate fan-out). Works from any anchor.
   sim::Task<void> mark_group_on_recovery_line(const std::vector<int>& group);
 
   // --- per-rank BLCR-style control (all traced) ---

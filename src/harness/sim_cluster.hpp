@@ -75,7 +75,7 @@ class SimCluster {
   sim::ShardedEngine& sharded() noexcept { return sharded_; }
   sim::LpBus& bus() noexcept { return bus_; }
 
-  /// Runs the cluster to completion (all shards and mailboxes drained).
+  /// Runs the cluster to completion (all shards and outboxes drained).
   void run() { sharded_.run(); }
   /// Runs everything at or before t, then advances every shard clock to t.
   void run_until(sim::Time t) { sharded_.run_until(t); }

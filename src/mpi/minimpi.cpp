@@ -329,19 +329,6 @@ sim::Task<void> RankCtx::pump(int dst) {
   ob.pump_running = false;
 }
 
-std::vector<int> RankCtx::pending_destinations() const {
-  std::vector<int> dsts;
-  for (const auto& [dst, ob] : outbound_) {
-    if (!ob.q.empty()) dsts.push_back(dst);
-  }
-  return dsts;
-}
-
-sim::Task<void> RankCtx::flush_channel_to(int peer) {
-  // Sender-side in-flight counters are rank-local: no service round-trip.
-  return mpi_.fabric_.drain_outbound(rank_, peer);
-}
-
 // ---------------------------------------------------------------------------
 // RankCtx: point-to-point
 // ---------------------------------------------------------------------------
@@ -492,11 +479,8 @@ void RankCtx::deliver_rts(const Envelope& env) {
 }
 
 void RankCtx::on_packet(net::Packet p) {
-  if (p.kind == net::PacketKind::kControl) {
-    assert(control_handler_ && "control packet with no handler installed");
-    if (control_handler_) control_handler_(std::move(p));
-    return;
-  }
+  assert(p.kind != net::PacketKind::kControl &&
+         "MiniMPI receives data-plane packets only");
   assert(!p.body.empty() && "data-plane packet without an envelope");
   const Envelope& env = p.body.get<Envelope>();
   switch (p.kind) {
@@ -534,7 +518,7 @@ void RankCtx::on_packet(net::Packet p) {
       break;
     }
     case net::PacketKind::kControl:
-      break;  // handled above
+      break;  // asserted above
   }
 }
 

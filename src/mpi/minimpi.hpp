@@ -188,18 +188,9 @@ class RankCtx {
   bool frozen() const { return exec_->paused(); }
   /// Bytes currently parked in the eager message buffer by the gate.
   Bytes message_buffer_bytes() const noexcept { return msg_buffer_cur_; }
-  /// World ranks toward which data-plane items are queued or pending.
-  std::vector<int> pending_destinations() const;
-  /// Waits until nothing this rank sent is still on the wire toward `peer`.
-  sim::Task<void> flush_channel_to(int peer);
 
   // --- internal: called by the fabric's delivery path (on this shard) ---
   void on_packet(net::Packet p);
-
-  /// Handler for control-plane packets (installed by the C/R framework).
-  void set_control_handler(std::function<void(net::Packet)> h) {
-    control_handler_ = std::move(h);
-  }
 
   /// Marks a request complete and wakes its waiters (used by the
   /// non-blocking collective drivers).
@@ -253,7 +244,6 @@ class RankCtx {
   std::unordered_map<std::uint64_t, Request> pending_send_;  // by transfer id
   std::unordered_map<std::uint64_t, Request> rndv_recv_;     // by transfer id
   std::unordered_map<std::uint64_t, std::uint64_t> coll_seq_;  // per comm
-  std::function<void(net::Packet)> control_handler_;
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
   std::uint64_t id_counter_ = 0;
@@ -295,8 +285,6 @@ class MiniMPI {
   std::vector<const Comm*> split(const Comm& parent,
                                  const std::vector<int>& colors);
   const Comm* find_comm(std::uint64_t id) const;
-  /// All user-created communicators (heuristic input for group formation).
-  const std::vector<std::unique_ptr<Comm>>& comms() const { return comms_; }
 
   void set_gate(CommGate* gate);
   CommGate* gate() const noexcept { return gate_; }

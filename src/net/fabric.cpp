@@ -352,12 +352,6 @@ std::uint64_t Fabric::flight_recs_reused() const noexcept {
   return total;
 }
 
-std::size_t Fabric::flight_recs_outstanding() const noexcept {
-  std::size_t total = 0;
-  for (const auto& p : flight_pool_) total += p->outstanding();
-  return total;
-}
-
 const Fabric::RankNet::Outbound* Fabric::outbound(int src, int dst) const {
   return rank_net_[src]->out.find(dst);
 }

@@ -65,10 +65,10 @@ enum class PacketKind : std::uint8_t {
   kControl,   // checkpoint / connection control
 };
 
-/// Opaque by-value payload carried across shards inside a packet. Unlike
-/// sim::MsgBuf (whose refcount and free list belong to one engine), a
+/// Opaque by-value payload carried across shards inside a packet. A
 /// WireBody owns its contents inline: created on the sender's shard,
-/// destroyed on the receiver's, with no shared bookkeeping in between.
+/// destroyed on the receiver's, with no refcount, pool or other shared
+/// bookkeeping in between.
 class WireBody {
  public:
   static constexpr std::size_t kInline = 64;
@@ -192,7 +192,6 @@ class ConnectionManager {
   /// Freeze-locks an endpoint: new establishments touching it stall.
   void lock_endpoint(int ep);
   void unlock_endpoint(int ep);
-  bool endpoint_locked(int ep) const { return locked_[ep]; }
 
   /// Every currently-connected peer of `ep`, ascending.
   std::vector<int> connected_peers(int ep) const;
@@ -306,15 +305,11 @@ class Fabric {
   // --- accounting (aggregate reads are for quiescent points) ---
   std::int64_t packets_sent() const noexcept;
   Bytes bytes_sent() const noexcept;
-  /// Flight-record recycling stats across all per-shard pools (quiescent
-  /// reads). `flight_recs_reused` counts pool acquisitions served from a
-  /// free list — the allocation-counter evidence that the steady-state
-  /// wire path is heap-allocation-free (always 0 with pools in ASan
-  /// passthrough). `flight_recs_outstanding` counts live records plus any
-  /// parked on cross-shard return stacks awaiting reclaim (swept home by
-  /// ~Fabric, whose pool destructors assert none leak).
+  /// Flight-record pool acquisitions served from a free list, across all
+  /// per-shard pools (quiescent read) — the allocation-counter evidence
+  /// that the steady-state wire path is heap-allocation-free (always 0
+  /// with pools in ASan passthrough).
   std::uint64_t flight_recs_reused() const noexcept;
-  std::size_t flight_recs_outstanding() const noexcept;
   /// Data-plane bytes / messages exchanged by a and b, both directions.
   Bytes bytes_between(int a, int b) const;
   std::int64_t messages_between(int a, int b) const;

@@ -28,7 +28,7 @@ constexpr int lp_owner_shard(int lp, int nlps, int shards) {
 /// (inter-group checkpoint sequencing, connection manager, shared PFS),
 /// pinned to shard 0. Every cross-LP interaction — wire flights, control
 /// messages, RPCs — flows through here with latency >= `floor()`, the
-/// lookahead-matrix floor, so the conservative horizons of ShardedEngine
+/// ShardedEngine's uniform lookahead, so its conservative horizons
 /// stay valid and no LP ever reaches into another LP's state directly.
 ///
 /// ## Determinism: the settle-sweep discipline
@@ -79,7 +79,7 @@ class LpBus {
   /// home LP of their group's lowest rank, and each node's staging-tier
   /// partition on its own rank LP (DESIGN.md §15).
   int svc_lp() const noexcept { return nranks_; }
-  /// Minimum cross-LP message latency (the lookahead-matrix floor).
+  /// Minimum cross-LP message latency (the engine's uniform lookahead).
   Time floor() const noexcept { return floor_; }
 
   int shards() const noexcept { return se_.shards(); }

@@ -196,125 +196,6 @@ class ArenaAlloc {
   std::shared_ptr<ArenaCore> core_;
 };
 
-namespace detail {
-struct MsgBufHeader {
-  std::uint32_t refs = 0;
-  void* payload = nullptr;
-  void (*release)(MsgBufHeader*) noexcept = nullptr;
-};
-}  // namespace detail
-
-/// Type-erased, intrusively-refcounted handle to a pooled message payload.
-/// Replaces shared_ptr<void> packet bodies: one pooled node holds refcount,
-/// vtable-free release hook and payload together, and the (non-atomic)
-/// refcount is engine-confined like everything else on the hot path.
-class MsgBuf {
- public:
-  MsgBuf() noexcept = default;
-  MsgBuf(std::nullptr_t) noexcept {}  // NOLINT: keeps Packet{..., nullptr}
-                                      // aggregate initializers working
-  /// Adopts one reference (the pool's make() hands these out).
-  explicit MsgBuf(detail::MsgBufHeader* h) noexcept : h_(h) {}
-
-  MsgBuf(const MsgBuf& o) noexcept : h_(o.h_) {
-    if (h_ != nullptr) ++h_->refs;
-  }
-  MsgBuf(MsgBuf&& o) noexcept : h_(std::exchange(o.h_, nullptr)) {}
-  MsgBuf& operator=(const MsgBuf& o) noexcept {
-    MsgBuf tmp(o);
-    std::swap(h_, tmp.h_);
-    return *this;
-  }
-  MsgBuf& operator=(MsgBuf&& o) noexcept {
-    MsgBuf tmp(std::move(o));
-    std::swap(h_, tmp.h_);
-    return *this;
-  }
-  ~MsgBuf() { reset(); }
-
-  void reset() noexcept {
-    if (h_ != nullptr && --h_->refs == 0) h_->release(h_);
-    h_ = nullptr;
-  }
-
-  explicit operator bool() const noexcept { return h_ != nullptr; }
-  friend bool operator==(const MsgBuf& b, std::nullptr_t) noexcept {
-    return b.h_ == nullptr;
-  }
-
-  /// The payload, as constructed by MsgPool<T>::make(). The caller asserts
-  /// the type, exactly as with the static_pointer_cast it replaces.
-  template <typename T>
-  T* get() const noexcept {
-    return h_ != nullptr ? static_cast<T*>(h_->payload) : nullptr;
-  }
-
-  std::uint32_t use_count() const noexcept {
-    return h_ != nullptr ? h_->refs : 0;
-  }
-
- private:
-  detail::MsgBufHeader* h_ = nullptr;
-};
-
-/// Pool of refcounted T payloads handed out as MsgBuf. Orphan-safe: packets
-/// captured in still-queued engine events can outlive the pool's owner (e.g.
-/// MiniMPI dies before its Engine), so the backing storage is only torn down
-/// once the pool is destroyed AND the last in-flight buffer has released.
-template <typename T>
-class MsgPool {
-  struct Core;
-  struct Node {
-    Core* core = nullptr;
-    detail::MsgBufHeader hdr;
-    alignas(alignof(T)) std::byte value[sizeof(T)];
-  };
-  struct Core {
-    Pool<Node> pool;
-    std::size_t outstanding = 0;
-    bool orphaned = false;
-  };
-
- public:
-  MsgPool() : core_(new Core) {}
-  MsgPool(const MsgPool&) = delete;
-  MsgPool& operator=(const MsgPool&) = delete;
-  ~MsgPool() {
-    if (core_->outstanding == 0) {
-      delete core_;
-    } else {
-      core_->orphaned = true;  // last MsgBuf release deletes the core
-    }
-  }
-
-  template <typename... Args>
-  MsgBuf make(Args&&... args) {
-    Node* n = core_->pool.acquire();
-    n->core = core_;
-    n->hdr.refs = 1;
-    n->hdr.release = &MsgPool::release_node;
-    n->hdr.payload =
-        ::new (static_cast<void*>(n->value)) T(std::forward<Args>(args)...);
-    ++core_->outstanding;
-    return MsgBuf(&n->hdr);
-  }
-
-  std::size_t outstanding() const noexcept { return core_->outstanding; }
-  std::uint64_t reused() const noexcept { return core_->pool.reused(); }
-
- private:
-  static void release_node(detail::MsgBufHeader* h) noexcept {
-    Node* n = reinterpret_cast<Node*>(reinterpret_cast<std::byte*>(h) -
-                                      offsetof(Node, hdr));
-    Core* core = n->core;
-    static_cast<T*>(h->payload)->~T();
-    core->pool.release(n);
-    if (--core->outstanding == 0 && core->orphaned) delete core;
-  }
-
-  Core* core_;
-};
-
 /// Thread-local size-class recycler for coroutine frames. Frames for
 /// send/recv/wait/pump/checkpoint coroutines are created and destroyed at
 /// event rate; this keeps the storage on a per-thread free list. Blocks come

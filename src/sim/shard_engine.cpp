@@ -4,6 +4,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <exception>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -11,22 +12,22 @@
 namespace gbc::sim {
 
 /// Shard-private state. Padded so two worker threads never share a line
-/// through the hot seq counter / mailbox tails.
+/// through the hot seq counter / outbox.
 struct alignas(64) ShardedEngine::Shard {
   Engine eng;
-  /// One SPSC mailbox per destination shard; this shard's worker is the
-  /// only producer, the coordinator (at a barrier) the only consumer.
-  std::vector<std::unique_ptr<SpscQueue<CrossEvent>>> out;
+  /// Cross-shard posts made since the last barrier, in post (seq) order.
+  /// Only this shard's running thread appends; the coordinator drains it at
+  /// the barrier, after the pool mutex has parked every producer.
+  std::vector<Staged> out;
   std::uint64_t next_seq = 0;
   ShardStats stats;
-  std::uint64_t events_before_window = 0;
   std::exception_ptr error;
 };
 
 namespace {
 
-/// Addition that saturates at kMaxSimTime instead of overflowing — matrix
-/// entries use kMaxSimTime (kNoLink) for "no path".
+/// Addition that saturates at kMaxSimTime instead of overflowing — an idle
+/// shard's next event time is kMaxSimTime.
 Time sat_add(Time a, Time b) noexcept {
   if (a >= kMaxSimTime - b) return kMaxSimTime;
   return a + b;
@@ -37,9 +38,11 @@ Time sat_add(Time a, Time b) noexcept {
 /// Generation-counted round barrier: the coordinator publishes per-shard
 /// horizons (ends_), workers run their statically-assigned runnable shards
 /// (shard s belongs to worker s % threads), and the coordinator waits for
-/// all of them before merging mailboxes. Static assignment keeps each
-/// Engine thread-affine for the whole run, which also fixes the SPSC
-/// producer role per mailbox.
+/// all of them before merging outboxes. The mutex hand-off orders every
+/// shard's appends to its outbox before the coordinator's drain, and every
+/// drain-time injection before the next round's execution, so the outboxes
+/// need no atomics; the same hand-off lets a `runnable == 1` round run a
+/// shard inline on the coordinator between pooled rounds.
 struct ShardedEngine::Pool {
   std::mutex m;
   std::condition_variable start_cv;
@@ -55,82 +58,17 @@ ShardedEngine::ShardedEngine(const Options& opts) {
     throw std::invalid_argument("ShardedEngine: shards must be >= 1");
   }
   const int S = opts.shards;
-  if (!opts.lookahead_matrix.empty()) {
-    if (opts.lookahead_matrix.size() !=
-        static_cast<std::size_t>(S) * static_cast<std::size_t>(S)) {
-      throw std::invalid_argument(
-          "ShardedEngine: lookahead matrix must be shards x shards");
-    }
-    matrix_ = opts.lookahead_matrix;
-    for (int i = 0; i < S; ++i) {
-      for (int j = 0; j < S; ++j) {
-        Time& e = matrix_[static_cast<std::size_t>(i) * S + j];
-        if (i == j) {
-          e = kNoLink;  // self-sends use the local wheel, never a mailbox
-        } else if (e <= 0) {
-          throw std::invalid_argument(
-              "ShardedEngine: lookahead matrix entries must be positive "
-              "(use kNoLink for silent pairs)");
-        }
-      }
-    }
-  } else {
-    if (S > 1 && opts.lookahead <= 0) {
-      throw std::invalid_argument(
-          "ShardedEngine: a positive lookahead is required for > 1 shard");
-    }
-    matrix_.assign(static_cast<std::size_t>(S) * S, kNoLink);
-    for (int i = 0; i < S; ++i) {
-      for (int j = 0; j < S; ++j) {
-        if (i != j) matrix_[static_cast<std::size_t>(i) * S + j] =
-            opts.lookahead;
-      }
-    }
+  if (S > 1 && opts.lookahead <= 0) {
+    throw std::invalid_argument(
+        "ShardedEngine: a positive lookahead is required for > 1 shard");
   }
-
-  lookahead_ = kNoLink;
-  for (int i = 0; i < S; ++i) {
-    for (int j = 0; j < S; ++j) {
-      if (i != j) {
-        lookahead_ =
-            std::min(lookahead_, matrix_[static_cast<std::size_t>(i) * S + j]);
-      }
-    }
-  }
-  if (lookahead_ == kNoLink) lookahead_ = 0;  // fully disconnected partition
-
-  // Conservative-horizon closure: cdist_[x][s] = length of the shortest
-  // message chain x -> ... -> s, and on the diagonal the shortest cycle
-  // through s. Floyd-Warshall with the diagonal seeded to kNoLink (not 0)
-  // computes exactly that, because a node is never a useful intermediate of
-  // its own shortest cycle.
-  cdist_ = matrix_;
-  for (int k = 0; k < S; ++k) {
-    for (int i = 0; i < S; ++i) {
-      const Time ik = cdist_[static_cast<std::size_t>(i) * S + k];
-      if (ik == kNoLink) continue;
-      for (int j = 0; j < S; ++j) {
-        const Time kj = cdist_[static_cast<std::size_t>(k) * S + j];
-        Time& ij = cdist_[static_cast<std::size_t>(i) * S + j];
-        ij = std::min(ij, sat_add(ik, kj));
-      }
-    }
-  }
-
+  lookahead_ = opts.lookahead;
   threads_ = std::clamp(opts.threads, 1, S);
   next_.resize(S);
   ends_.assign(S, 0);
-  drained_.assign(S, 0);
   injected_.assign(S, false);
   shards_.reserve(S);
-  for (int s = 0; s < S; ++s) {
-    auto sh = std::make_unique<Shard>();
-    sh->out.reserve(S);
-    for (int d = 0; d < S; ++d) {
-      sh->out.push_back(std::make_unique<SpscQueue<CrossEvent>>());
-    }
-    shards_.push_back(std::move(sh));
-  }
+  for (int s = 0; s < S; ++s) shards_.push_back(std::make_unique<Shard>());
 }
 
 ShardedEngine::~ShardedEngine() { stop_pool(); }
@@ -148,35 +86,22 @@ void ShardedEngine::post(int src, int dst, Time t, InlineFn fn) {
     return;
   }
   Shard& from = *shards_[src];
-  assert(matrix_[static_cast<std::size_t>(src) * shards() + dst] != kNoLink &&
-         "cross-shard post on a pair the lookahead matrix declares silent");
-  assert(t >= from.eng.now() +
-                 matrix_[static_cast<std::size_t>(src) * shards() + dst] &&
+  assert(t >= from.eng.now() + lookahead_ &&
          "cross-shard post inside the conservative horizon");
   ++from.stats.cross_sent;
-  from.out[dst]->push(CrossEvent{t, from.next_seq++, std::move(fn)});
+  from.out.push_back(Staged{t, static_cast<std::uint32_t>(src),
+                            from.next_seq++, static_cast<std::uint32_t>(dst),
+                            std::move(fn)});
 }
 
 std::size_t ShardedEngine::drain_and_inject() {
   batch_.clear();
-  const int n = shards();
-  CrossEvent ev;
-  for (int src = 0; src < n; ++src) {
-    Shard& sh = *shards_[src];
-    // Most rounds of a loosely-coupled model post nothing: the running count
-    // of cross posts (read coherently here — producers are quiescent at the
-    // round barrier) gates the O(shards) mailbox scan per source.
-    if (sh.stats.cross_sent == drained_[src]) continue;
-    drained_[src] = sh.stats.cross_sent;
-    for (int dst = 0; dst < n; ++dst) {
-      if (dst == src) continue;
-      auto& mb = *sh.out[dst];
-      while (mb.pop(ev)) {
-        batch_.push_back(Staged{ev.t, static_cast<std::uint32_t>(src), ev.seq,
-                                static_cast<std::uint32_t>(dst),
-                                std::move(ev.fn)});
-      }
-    }
+  for (auto& sh : shards_) {
+    // Most rounds of a loosely-coupled model post nothing.
+    if (sh->out.empty()) continue;
+    batch_.insert(batch_.end(), std::make_move_iterator(sh->out.begin()),
+                  std::make_move_iterator(sh->out.end()));
+    sh->out.clear();
   }
   // Deterministic merge order (t, src, seq); a round with <= 1 cross event
   // skips the sort. Keys are unique: seq is per-source-shard monotonic.
@@ -201,7 +126,7 @@ std::size_t ShardedEngine::drain_and_inject() {
 
 void ShardedEngine::run_shard_window(int s) {
   Shard& sh = *shards_[s];
-  sh.events_before_window = sh.eng.events_processed();
+  const std::uint64_t before = sh.eng.events_processed();
   const Time end = ends_[s];
   try {
     // Horizon [next, end): Time is integral, so "strictly below end" is
@@ -211,12 +136,7 @@ void ShardedEngine::run_shard_window(int s) {
   } catch (...) {
     sh.error = std::current_exception();
   }
-  const std::uint64_t n = sh.eng.events_processed() - sh.events_before_window;
-  if (n > 0) {
-    sh.stats.events += n;
-    ++sh.stats.busy_windows;
-    sh.stats.max_window_events = std::max(sh.stats.max_window_events, n);
-  }
+  sh.stats.events += sh.eng.events_processed() - before;
 }
 
 void ShardedEngine::worker_loop(int worker) {
@@ -264,13 +184,22 @@ void ShardedEngine::run_rounds(Time cap) {
     // round (ends_ still holds that round's horizons) or the merge just
     // injected into it; everyone else answers from the previous round's
     // next_. The first round recomputes everything — the caller may have
-    // scheduled into any shard since the last run.
+    // scheduled into any shard since the last run. The horizons below need
+    // only the two smallest next values and the shard holding the smallest.
     Time tmin = kMaxSimTime;
+    Time tsecond = kMaxSimTime;
+    int earliest = 0;
     for (int s = 0; s < S; ++s) {
       if (first || ends_[s] != 0 || injected_[s]) {
         next_[s] = shards_[s]->eng.next_event_time();
       }
-      tmin = std::min(tmin, next_[s]);
+      if (next_[s] < tmin) {
+        tsecond = tmin;
+        tmin = next_[s];
+        earliest = s;
+      } else if (next_[s] < tsecond) {
+        tsecond = next_[s];
+      }
     }
     first = false;
     if (tmin > cap || tmin == kMaxSimTime) {
@@ -278,18 +207,16 @@ void ShardedEngine::run_rounds(Time cap) {
       return;
     }
 
-    // Earliest-input-time horizons. The shard holding the globally earliest
-    // event always has end > next (every cdist is positive), so each round
-    // makes progress.
+    // Earliest-input-time horizons (see the class comment): one hop from
+    // the earliest other shard, or a round trip from s itself. The shard
+    // holding the globally earliest event always has end > next (L > 0),
+    // so each round makes progress.
+    const Time cycle = sat_add(lookahead_, lookahead_);
     int runnable = 0;
     int sole = -1;
     for (int s = 0; s < S; ++s) {
-      Time e = kMaxSimTime;
-      for (int x = 0; x < S; ++x) {
-        e = std::min(e,
-                     sat_add(next_[x], cdist_[static_cast<std::size_t>(x) * S +
-                                              s]));
-      }
+      const Time other = s == earliest ? tsecond : tmin;
+      Time e = std::min(sat_add(next_[s], cycle), sat_add(other, lookahead_));
       if (cap != kMaxSimTime && e > cap) e = cap + 1;
       if (e > next_[s]) {
         ends_[s] = e;
@@ -343,42 +270,27 @@ void ShardedEngine::run_rounds(Time cap) {
   }
 }
 
-void ShardedEngine::run() {
-  if (shards() == 1) {
-    ++windows_;
-    ++rounds_;
-    Shard& sh = *shards_[0];
-    sh.events_before_window = sh.eng.events_processed();
+void ShardedEngine::run_one_shard(std::optional<Time> cap) {
+  ++windows_;
+  ++rounds_;
+  Shard& sh = *shards_[0];
+  const std::uint64_t before = sh.eng.events_processed();
+  if (cap) {
+    sh.eng.run_until(*cap);
+  } else {
     sh.eng.run();
-    const std::uint64_t n =
-        sh.eng.events_processed() - sh.events_before_window;
-    sh.stats.events += n;
-    if (n > 0) {
-      sh.stats.busy_windows = 1;
-      sh.stats.max_window_events = std::max(sh.stats.max_window_events, n);
-    }
-    return;
   }
+  sh.stats.events += sh.eng.events_processed() - before;
+}
+
+void ShardedEngine::run() {
+  if (shards() == 1) return run_one_shard(std::nullopt);
   run_rounds(kMaxSimTime);
   stop_pool();
 }
 
 void ShardedEngine::run_until(Time t) {
-  if (shards() == 1) {
-    ++windows_;
-    ++rounds_;
-    Shard& sh = *shards_[0];
-    sh.events_before_window = sh.eng.events_processed();
-    sh.eng.run_until(t);
-    const std::uint64_t n =
-        sh.eng.events_processed() - sh.events_before_window;
-    sh.stats.events += n;
-    if (n > 0) {
-      sh.stats.busy_windows = 1;
-      sh.stats.max_window_events = std::max(sh.stats.max_window_events, n);
-    }
-    return;
-  }
+  if (shards() == 1) return run_one_shard(t);
   run_rounds(t);
   stop_pool();
   // Nothing at or before t is pending anywhere; advance every clock to t so
@@ -391,14 +303,7 @@ void ShardedEngine::abort_all() {
   for (auto& sh : shards_) sh->eng.abort_all();
   // Drop in-flight cross traffic: its targets are gone. InlineFn destructors
   // release any captured resources.
-  CrossEvent ev;
-  for (int s = 0; s < shards(); ++s) {
-    for (auto& mb : shards_[s]->out) {
-      while (mb->pop(ev)) {
-      }
-    }
-    drained_[s] = shards_[s]->stats.cross_sent;
-  }
+  for (auto& sh : shards_) sh->out.clear();
 }
 
 std::uint64_t ShardedEngine::total_events() const {
@@ -411,15 +316,6 @@ std::uint64_t ShardedEngine::cross_events() const {
   std::uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->stats.cross_sent;
   return n;
-}
-
-double ShardedEngine::window_balance() const {
-  const std::uint64_t total = total_events();
-  if (total == 0 || shards_.empty()) return 1.0;
-  std::uint64_t mx = 0;
-  for (const auto& sh : shards_) mx = std::max(mx, sh->stats.events);
-  const double mean = static_cast<double>(total) / shards_.size();
-  return static_cast<double>(mx) / mean;
 }
 
 }  // namespace gbc::sim

@@ -10,7 +10,7 @@
 //     reaches it is recovered by the root LP running that group itself,
 //     and the cycle still completes for every rank;
 //  3. the same-shard LpBus fast path (direct settle-bucket push, no
-//     cross-shard mailbox hop) preserves canonical (origin, sequence)
+//     cross-shard outbox hop) preserves canonical (origin, sequence)
 //     delivery order under a randomized send/RPC interleaving stress.
 #include <gtest/gtest.h>
 
@@ -156,7 +156,7 @@ sim::Task<void> record_rpc(DeliveryLog* log, int dst, int origin, int seq) {
 /// Each rank fires a seeded-random mix of one-way bus sends and bus RPCs at
 /// random destinations, biased so half the traffic targets a same-shard
 /// partner — forcing fast-path (direct settle-bucket) and cross-shard
-/// (mailbox + inbox_push) deliveries to interleave at every receiver —
+/// (outbox + inbox_push) deliveries to interleave at every receiver —
 /// with random compute gaps so bucket boundaries shift between ops.
 sim::Task<void> stress_rank(mpi::RankCtx* r, sim::LpBus* bus,
                             DeliveryLog* log, int n) {

@@ -93,56 +93,6 @@ TEST(Arena, RecyclesSameSizeClass) {
 }
 #endif
 
-TEST(MsgBufTest, CopyAndMoveTrackReferences) {
-  MsgPool<Tracked> pool;
-  int live = 0;
-  MsgBuf a = pool.make(&live, 5);
-  EXPECT_EQ(live, 1);
-  EXPECT_EQ(a.use_count(), 1u);
-  MsgBuf b = a;  // copy bumps the refcount
-  EXPECT_EQ(a.use_count(), 2u);
-  MsgBuf c = std::move(a);  // move transfers it
-  EXPECT_EQ(c.use_count(), 2u);
-  EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): asserting moved-from
-  b.reset();
-  EXPECT_EQ(c.use_count(), 1u);
-  EXPECT_EQ(c.get<Tracked>()->value, 5);
-  c.reset();
-  EXPECT_EQ(live, 0);
-  EXPECT_EQ(pool.outstanding(), 0u);
-}
-
-#if !GBC_POOLS_PASSTHROUGH
-TEST(MsgPoolTest, RecyclesReleasedNodes) {
-  MsgPool<Tracked> pool;
-  int live = 0;
-  MsgBuf a = pool.make(&live, 1);
-  const Tracked* addr = a.get<Tracked>();
-  a.reset();
-  EXPECT_EQ(live, 0);
-  MsgBuf b = pool.make(&live, 2);
-  EXPECT_EQ(b.get<Tracked>(), addr);  // same node came back
-  EXPECT_EQ(pool.reused(), 1u);
-  EXPECT_EQ(b.get<Tracked>()->value, 2);
-}
-#endif
-
-TEST(MsgPoolTest, BuffersSurviveThePool) {
-  int live = 0;
-  MsgBuf survivor;
-  {
-    MsgPool<Tracked> pool;
-    survivor = pool.make(&live, 42);
-    // Pool dies here with one buffer still in flight — the packet-queued-in-
-    // engine-events scenario when MiniMPI is destroyed before its Engine.
-  }
-  EXPECT_EQ(live, 1);
-  ASSERT_NE(survivor.get<Tracked>(), nullptr);
-  EXPECT_EQ(survivor.get<Tracked>()->value, 42);
-  survivor.reset();  // last release tears down the orphaned backing storage
-  EXPECT_EQ(live, 0);
-}
-
 #if !GBC_POOLS_PASSTHROUGH
 TEST(FramePoolTest, RecyclesSameSizeClass) {
   void* a = FramePool::allocate(200);

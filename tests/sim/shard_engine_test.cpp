@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -151,11 +152,12 @@ TEST(ShardedEngine, WindowsCountMergesOnlyAndStatsAccount) {
             se.stats(0).events + se.stats(1).events);
   EXPECT_EQ(se.stats(0).cross_sent, 1u);
   EXPECT_EQ(se.stats(1).cross_sent, 1u);
-  EXPECT_GE(se.window_balance(), 1.0);
 }
 
 // Shard-local workloads never merge: a run with zero cross-shard posts is
-// zero windows no matter how many events or how far apart they sit.
+// zero windows no matter how many events or how far apart they sit. Every
+// shard holds the same three event times, so each round runs all of them
+// to the next time: one round per distinct event time.
 TEST(ShardedEngine, LocalOnlyWorkloadFusesToZeroWindows) {
   ShardedEngine::Options opts;
   opts.shards = 3;
@@ -171,37 +173,61 @@ TEST(ShardedEngine, LocalOnlyWorkloadFusesToZeroWindows) {
   EXPECT_EQ(fired, 9);
   EXPECT_EQ(se.windows(), 0u);
   EXPECT_EQ(se.cross_events(), 0u);
-  EXPECT_GE(se.rounds(), 1u);
+  EXPECT_EQ(se.rounds(), 3u);
 }
 
-// The per-pair matrix widens horizons beyond the uniform minimum: a pair
-// declared kNoLink never constrains, and an asymmetric pair constrains only
-// in its stated direction. Deliveries still land exactly where posted.
-TEST(ShardedEngine, LookaheadMatrixRoutesAsymmetricPairs) {
+// The self-round-trip term of the horizon: with shard 1 idle, shard 0 is
+// bounded only by its own shortest cycle, 2L = 10. Its events at 0 and 7
+// share the first round and 12 takes the second. A one-hop bound (L) would
+// split 0 | 7 | 12 into three rounds; no bound at all would take one.
+TEST(ShardedEngine, IdlePeerBoundsShardByItsRoundTrip) {
   ShardedEngine::Options opts;
-  opts.shards = 3;
-  // 0 -> 1 tight (3), 1 -> 0 loose (50), 2 exchanges with nobody.
-  opts.lookahead_matrix = {
-      ShardedEngine::kNoLink, 3,  ShardedEngine::kNoLink,
-      50, ShardedEngine::kNoLink, ShardedEngine::kNoLink,
-      ShardedEngine::kNoLink, ShardedEngine::kNoLink, ShardedEngine::kNoLink,
-  };
+  opts.shards = 2;
+  opts.lookahead = 5;
   ShardedEngine se(opts);
-  std::vector<std::pair<int, Time>> log;
-  int local2 = 0;
-  se.shard(2).schedule_at(1, [&] { ++local2; });  // isolated shard just runs
-  se.shard(0).schedule_at(0, [&] {
-    se.post(0, 1, 3, [&] {
-      log.emplace_back(1, se.shard(1).now());
-      se.post(1, 0, 53, [&] { log.emplace_back(0, se.shard(0).now()); });
-    });
-  });
+  std::vector<Time> fired;
+  for (Time t : {Time{0}, Time{7}, Time{12}}) {
+    se.shard(0).schedule_at(t, [&] { fired.push_back(se.shard(0).now()); });
+  }
   se.run();
-  EXPECT_EQ(local2, 1);
-  ASSERT_EQ(log.size(), 2u);
-  EXPECT_EQ(log[0], (std::pair<int, Time>{1, 3}));
-  EXPECT_EQ(log[1], (std::pair<int, Time>{0, 53}));
-  EXPECT_EQ(se.lookahead(), 3);
+  EXPECT_EQ(fired, (std::vector<Time>{0, 7, 12}));
+  EXPECT_EQ(se.rounds(), 2u);
+  EXPECT_EQ(se.windows(), 0u);
+}
+
+// Shards 0-2 post 600 same-time events each to shard 3 in one round, in
+// parallel at threads = 4. Shard 3 must see them in (src, seq) order —
+// every post of shard 0, then 1, then 2, each in post order — exactly as
+// the inline threads = 1 run does.
+std::vector<std::pair<int, int>> fan_in_log(int threads) {
+  constexpr int kPosts = 600;
+  ShardedEngine::Options opts;
+  opts.shards = 4;
+  opts.lookahead = 10;
+  opts.threads = threads;
+  ShardedEngine se(opts);
+  std::vector<std::pair<int, int>> log;  // appended only by shard 3
+  for (int s = 0; s < 3; ++s) {
+    se.shard(s).schedule_at(0, [&se, &log, s] {
+      for (int i = 0; i < kPosts; ++i) {
+        se.post(s, 3, 10, [&log, s, i] { log.emplace_back(s, i); });
+      }
+    });
+  }
+  se.run();
+  EXPECT_EQ(se.cross_events(), 3u * kPosts);
+  EXPECT_EQ(se.windows(), 1u);
+  return log;
+}
+
+TEST(ShardedEngine, ParallelFanInMergesBySrcThenSeq) {
+  const auto threaded = fan_in_log(4);
+  std::vector<std::pair<int, int>> expected;
+  for (int s = 0; s < 3; ++s) {
+    for (int i = 0; i < 600; ++i) expected.emplace_back(s, i);
+  }
+  EXPECT_EQ(threaded, expected);
+  EXPECT_EQ(threaded, fan_in_log(1));
 }
 
 // run_until stops at the cap, leaves later work pending, advances every
