@@ -55,10 +55,9 @@ void BM_EngineScheduleDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineScheduleDispatch);
 
-// Far-future scheduling: delays spanning every timing-wheel level (1 ns up
-// to beyond the 2^48 ns epoch horizon, which lands in the overflow heap),
-// stressing coarse placement, cascades and epoch migration rather than the
-// leaf-level fast path the other benchmarks exercise.
+// Far-future scheduling: timestamps doubling from 1 ns up to 2^52 ns, so
+// the event heap holds times spread over many orders of magnitude rather
+// than the dense one-per-nanosecond band the other benchmarks schedule.
 void BM_ScheduleFar(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng;

@@ -19,6 +19,11 @@
 # partitioned-ledger determinism and the same-shard fast-path stress —
 # DESIGN.md §15).
 #
+# Both stages build RelWithDebInfo without -DNDEBUG, so every assert in
+# src/ (lookahead preconditions, horizon progress, pool liveness, protocol
+# bookkeeping) is live under the sanitizers; the default build compiles
+# them out.
+#
 # Usage: scripts/sanitize_check.sh [build-dir] [tsan-build-dir]
 #   build-dir       ASan/UBSan build tree (default: build-asan)
 #   tsan-build-dir  TSan build tree       (default: build-tsan)
@@ -27,7 +32,10 @@ set -euo pipefail
 BUILD=${1:-build-asan}
 TSAN_BUILD=${2:-build-tsan}
 
-cmake -B "$BUILD" -S . -DGBC_SANITIZE=address,undefined
+# RelWithDebInfo's default flags are "-O2 -g -DNDEBUG"; drop -DNDEBUG.
+ASSERT_FLAGS=(-DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g")
+
+cmake -B "$BUILD" -S . -DGBC_SANITIZE=address,undefined "${ASSERT_FLAGS[@]}"
 cmake --build "$BUILD" -j "$(nproc)"
 
 # halt_on_error makes UBSan findings fail the run instead of just logging.
@@ -50,7 +58,7 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L erasure
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)" -L svcshard
 
 echo "== thread sanitizer stage =="
-cmake -B "$TSAN_BUILD" -S . -DGBC_SANITIZE=thread
+cmake -B "$TSAN_BUILD" -S . -DGBC_SANITIZE=thread "${ASSERT_FLAGS[@]}"
 cmake --build "$TSAN_BUILD" -j "$(nproc)"
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "$TSAN_BUILD" --output-on-failure -j "$(nproc)" \

@@ -130,21 +130,10 @@ sim::Task<void> periodic_driver(CheckpointService* svc, sim::Engine* eng,
   // after the previous cycle completes. A fixed rate shorter than the cycle
   // time would otherwise pile up requests and starve the application.
   for (;;) {
-    // Stop once the application is done. When the harness reports rank
-    // liveness, use it: rank mains run on their home shards' engines, so
-    // this engine's live_processes() no longer sees them. Otherwise (direct
-    // tests driving one engine) fall back to the process-count heuristic:
-    // stop once only this driver remains. Background drain services are
-    // detached processes too, but they are storage activity, not
-    // application progress — counting them would keep the driver (and thus
-    // the drain) alive forever once drains lag the checkpoint interval.
-    if (svc->tracking_ranks()) {
-      if (svc->live_ranks() <= 0) co_return;
-    } else {
-      const int background =
-          svc->tier() ? svc->tier()->drain_tasks_running() : 0;
-      if (eng->live_processes() <= 1 + background) co_return;
-    }
+    // Stop once the application is done: every rank main has reported its
+    // return (rank mains run on their home shards' engines, so this
+    // engine's live_processes() does not see them).
+    if (svc->live_ranks() <= 0) co_return;
     (void)co_await svc->checkpoint(p);
     co_await eng->delay(interval);
   }
@@ -154,9 +143,7 @@ sim::Task<void> periodic_driver(CheckpointService* svc, sim::Engine* eng,
 void CheckpointService::request_every(sim::Time first, sim::Time interval,
                                       Protocol protocol) {
   eng_.schedule_at(first, [this, interval, protocol] {
-    if (tracking_ranks() ? live_ranks_ <= 0 : eng_.live_processes() <= 0) {
-      return;
-    }
+    if (live_ranks_ <= 0) return;
     eng_.spawn(periodic_driver(this, &eng_, interval, protocol));
   });
 }

@@ -174,19 +174,14 @@ class CheckpointService {
   /// Attaches a node-local staging tier: snapshot writes go to it instead
   /// of the shared PFS (when cfg_.use_tier; see DESIGN.md §10).
   void set_tier(storage::TieredStore* tier) { tier_ = tier; }
-  storage::TieredStore* tier() const noexcept { return tier_; }
 
-  /// Rank-process liveness, reported by the harness: rank mains run on
-  /// other shards' engines, so the service engine's live_processes() no
-  /// longer sees them. started is called at setup (quiescent); finished
-  /// arrives by bus message when a rank's main returns. -1 = harness not
-  /// tracking (direct-construction tests); the periodic driver then falls
-  /// back to the live_processes() heuristic.
-  void note_rank_started() {
-    live_ranks_ = (live_ranks_ < 0 ? 0 : live_ranks_) + 1;
-  }
+  /// Rank-process liveness, reported by the harness (SimCluster::
+  /// spawn_ranks): rank mains run on other shards' engines, so the service
+  /// engine's live_processes() does not see them. started is called at
+  /// setup (quiescent); finished arrives by bus message when a rank's main
+  /// returns. The periodic driver stops once no rank is live.
+  void note_rank_started() { ++live_ranks_; }
   void note_rank_finished() { --live_ranks_; }
-  bool tracking_ranks() const noexcept { return live_ranks_ >= 0; }
   int live_ranks() const noexcept { return live_ranks_; }
 
   /// Test hook (coordinator federation): arms a one-shot failure of the
@@ -253,7 +248,7 @@ class CheckpointService {
   bool cycle_active_ = false;
   bool defer_active_ = false;   // gate enforces the done/not-done rule
   sim::Condition cycle_done_;
-  int live_ranks_ = -1;  // -1: harness not reporting rank liveness
+  int live_ranks_ = 0;
   int abandon_coordinator_ = -1;  // one-shot test hook, see above
   sim::Trace* trace_ = nullptr;
   std::vector<sim::Time> last_snapshot_at_;  // -1: no snapshot yet

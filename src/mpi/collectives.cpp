@@ -317,8 +317,7 @@ sim::Task<std::vector<double>> RankCtx::reduce_scatter_block(
     const Comm& c, Op op, std::vector<double> contrib) {
   co_await exec_->freeze_point();
   const int p = c.size();
-  const int r = c.comm_rank(rank_);
-  assert(r >= 0);
+  assert(c.comm_rank(rank_) >= 0);
   if (p <= 1) co_return contrib;
   assert(contrib.size() % static_cast<std::size_t>(p) == 0 &&
          "contribution must split into p equal blocks");

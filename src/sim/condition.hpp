@@ -1,7 +1,6 @@
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -64,7 +63,7 @@ class Condition {
   /// Only for callers already running in a top-level event context (the LP
   /// bus settle sweep) where re-entering the waiters immediately is safe:
   /// the waiter's continuation runs to its next suspension inside this
-  /// call. Saves one wheel event per waiter on the message hot path.
+  /// call. Saves one queued event per waiter on the message hot path.
   void notify_all_inline() {
     if (waiters_.empty()) return;
     auto snapshot = std::move(waiters_);
@@ -88,62 +87,11 @@ class Condition {
     }
   }
 
-  bool has_waiters() const noexcept { return !waiters_.empty(); }
   Engine& engine() const noexcept { return *eng_; }
 
  private:
   Engine* eng_;
   std::vector<std::shared_ptr<SuspendState>> waiters_;
-};
-
-/// A gate is a persistent-state Condition: when open, waiters pass through
-/// immediately; when closed, they park until the gate opens.
-class Gate {
- public:
-  Gate(Engine& eng, bool open) : cv_(eng), open_(open) {}
-
-  bool is_open() const noexcept { return open_; }
-  void open() {
-    if (!open_) {
-      open_ = true;
-      cv_.notify_all();
-    }
-  }
-  void close() { open_ = false; }
-
-  Task<void> pass() {
-    while (!open_) co_await cv_.wait();
-  }
-
- private:
-  Condition cv_;
-  bool open_;
-};
-
-/// Unbounded FIFO mailbox between coroutines.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(Engine& eng) : cv_(eng) {}
-
-  void send(T item) {
-    items_.push_back(std::move(item));
-    cv_.notify_all();
-  }
-
-  Task<T> recv() {
-    while (items_.empty()) co_await cv_.wait();
-    T item = std::move(items_.front());
-    items_.pop_front();
-    co_return item;
-  }
-
-  bool empty() const noexcept { return items_.empty(); }
-  std::size_t size() const noexcept { return items_.size(); }
-
- private:
-  Condition cv_;
-  std::deque<T> items_;
 };
 
 }  // namespace gbc::sim

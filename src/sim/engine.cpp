@@ -47,8 +47,8 @@ std::uint32_t Engine::acquire_slot(InlineFn fn) {
 
 void Engine::schedule_at(Time t, InlineFn fn) {
   assert(t >= now_ && "scheduling into the past");
-  queue_.push(WheelEvent{t < now_ ? now_ : t, next_seq_++,
-                         acquire_slot(std::move(fn))});
+  queue_.push(QueuedEvent{t < now_ ? now_ : t, next_seq_++,
+                          acquire_slot(std::move(fn))});
 }
 
 void Engine::schedule_after(Time delay, InlineFn fn) {
@@ -57,8 +57,8 @@ void Engine::schedule_after(Time delay, InlineFn fn) {
 
 void Engine::schedule_at_back(Time t, InlineFn fn) {
   assert(t >= now_ && "scheduling into the past");
-  queue_.push(WheelEvent{t < now_ ? now_ : t, next_seq_++ | kBackBand,
-                         acquire_slot(std::move(fn))});
+  queue_.push(QueuedEvent{t < now_ ? now_ : t, next_seq_++ | kBackBand,
+                          acquire_slot(std::move(fn))});
 }
 
 void Engine::spawn(Task<void> body) {
@@ -66,7 +66,7 @@ void Engine::spawn(Task<void> body) {
   drive(this, std::move(body));
 }
 
-void Engine::step(const WheelEvent& ev) {
+void Engine::step(const QueuedEvent& ev) {
   now_ = ev.t;
   ++events_;
   // Move the callable out before invoking: the callback may schedule new
@@ -77,7 +77,7 @@ void Engine::step(const WheelEvent& ev) {
 }
 
 void Engine::run() {
-  WheelEvent ev;
+  QueuedEvent ev;
   while (queue_.pop(kMaxSimTime, ev)) {
     step(ev);
     if (!errors_.empty()) {
@@ -89,7 +89,7 @@ void Engine::run() {
 }
 
 void Engine::run_until(Time t) {
-  WheelEvent ev;
+  QueuedEvent ev;
   while (queue_.pop(t, ev)) {
     step(ev);
     if (!errors_.empty()) {

@@ -6,11 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
 #include "sim/pool.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
-#include "sim/timing_wheel.hpp"
 
 namespace gbc::sim {
 
@@ -23,8 +23,10 @@ struct SuspendState {
   bool alive = true;     // awaiter frame still exists
 };
 
-/// Deterministic single-threaded discrete-event engine. Events at equal
-/// timestamps fire in schedule order (FIFO), so runs are fully reproducible.
+/// Deterministic single-threaded discrete-event engine. Events fire in
+/// strict (t, seq) order: equal timestamps fire in schedule order (FIFO),
+/// except that back-band events (schedule_at_back) fire after every normal
+/// event at their instant. Runs are therefore fully reproducible.
 class Engine {
  public:
   Engine() = default;
@@ -69,9 +71,8 @@ class Engine {
   /// Absolute time of the earliest queued event, or kMaxSimTime when the
   /// queue is empty. The shard coordinator uses this to place the next
   /// conservative window; a serial run never needs it.
-  Time next_event_time() const {
-    Time t;
-    return queue_.peek_time(t) ? t : kMaxSimTime;
+  Time next_event_time() const noexcept {
+    return queue_.empty() ? kMaxSimTime : queue_.peek().t;
   }
   bool queue_empty() const noexcept { return queue_.empty(); }
 
@@ -132,13 +133,13 @@ class Engine {
     });
   }
 
-  void step(const WheelEvent& ev);
+  void step(const QueuedEvent& ev);
   std::uint32_t acquire_slot(InlineFn fn);
 
-  // The wheel orders trivially-copyable 24-byte records; the callables live
+  // The heap sifts trivially-copyable 24-byte records; the callables live
   // in stable recycled slots on the side, so a steady-state simulation stops
   // allocating per event entirely.
-  TimingWheel queue_;
+  EventQueue queue_;
   std::vector<InlineFn> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::weak_ptr<SuspendState>> suspensions_;

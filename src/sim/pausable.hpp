@@ -50,13 +50,11 @@ class Pausable {
   Task<void> compute(Time duration) {
     mark_progress();
     in_compute_ = true;
-    compute_end_estimate_ = eng_->now() + duration;
     Time done = 0;
     while (done < duration) {
       while (paused()) co_await unpaused_.wait();
       const Time start = eng_->now();
       const Time paused_at_start = total_paused();
-      compute_end_estimate_ = start + (duration - done);
       co_await eng_->delay(duration - done);
       done += (eng_->now() - start) - (total_paused() - paused_at_start);
     }
@@ -94,9 +92,6 @@ class Pausable {
   }
 
   bool in_compute() const noexcept { return in_compute_; }
-  Time last_progress() const noexcept { return last_progress_; }
-  /// When the current compute segment will end absent further pauses.
-  Time compute_end_estimate() const noexcept { return compute_end_estimate_; }
 
   /// Models the latency until this process services an inter-group
   /// coordination request (paper Sec. 4.4). If the process is inside the
@@ -132,7 +127,6 @@ class Pausable {
   Time pause_start_ = 0;
   Time paused_accum_ = 0;
   Time last_progress_ = 0;
-  Time compute_end_estimate_ = 0;
   bool in_compute_ = false;
 };
 

@@ -66,7 +66,6 @@ ShardedEngine::ShardedEngine(const Options& opts) {
   threads_ = std::clamp(opts.threads, 1, S);
   next_.resize(S);
   ends_.assign(S, 0);
-  injected_.assign(S, false);
   shards_.reserve(S);
   for (int s = 0; s < S; ++s) shards_.push_back(std::make_unique<Shard>());
 }
@@ -113,13 +112,11 @@ std::size_t ShardedEngine::drain_and_inject() {
                 return a.seq < b.seq;
               });
   }
-  // Inject straight into the destination wheels: every delivery time is at
+  // Inject straight into the destination queues: every delivery time is at
   // or past the destination's horizon, so nothing lands in a shard's past
   // and no staging heap is needed.
   for (Staged& st : batch_) {
-    Engine& de = shards_[st.dst]->eng;
-    injected_[st.dst] = true;
-    de.schedule_at(st.t, std::move(st.fn));
+    shards_[st.dst]->eng.schedule_at(st.t, std::move(st.fn));
   }
   return batch_.size();
 }
@@ -172,27 +169,19 @@ void ShardedEngine::stop_pool() {
 
 void ShardedEngine::run_rounds(Time cap) {
   const int S = shards();
-  bool first = true;
   for (;;) {
     // Merge first: anything posted during the previous round (or before the
-    // run started) lands in the wheels before horizons are computed, so
+    // run started) lands in the queues before horizons are computed, so
     // in-flight traffic is fully accounted by next-event times.
-    std::fill(injected_.begin(), injected_.end(), false);
     if (drain_and_inject() > 0) ++windows_;
 
-    // A shard's earliest pending time only moves when the shard ran last
-    // round (ends_ still holds that round's horizons) or the merge just
-    // injected into it; everyone else answers from the previous round's
-    // next_. The first round recomputes everything — the caller may have
-    // scheduled into any shard since the last run. The horizons below need
-    // only the two smallest next values and the shard holding the smallest.
+    // The horizons below need only the two smallest next values and the
+    // shard holding the smallest.
     Time tmin = kMaxSimTime;
     Time tsecond = kMaxSimTime;
     int earliest = 0;
     for (int s = 0; s < S; ++s) {
-      if (first || ends_[s] != 0 || injected_[s]) {
-        next_[s] = shards_[s]->eng.next_event_time();
-      }
+      next_[s] = shards_[s]->eng.next_event_time();
       if (next_[s] < tmin) {
         tsecond = tmin;
         tmin = next_[s];
@@ -201,7 +190,6 @@ void ShardedEngine::run_rounds(Time cap) {
         tsecond = next_[s];
       }
     }
-    first = false;
     if (tmin > cap || tmin == kMaxSimTime) {
       std::fill(ends_.begin(), ends_.end(), Time{0});
       return;

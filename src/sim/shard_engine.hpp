@@ -19,10 +19,10 @@ struct ShardStats {
 /// Conservative-lookahead parallel discrete-event engine.
 ///
 /// One simulation is partitioned into S shards, each owning a full serial
-/// Engine — its own timing wheel, slot arena and memory pools — and the
+/// Engine — its own event heap, slot arena and memory pools — and the
 /// model's state is partitioned with them (every logical process belongs to
 /// exactly one shard). A cross-shard send is appended to its source shard's
-/// outbox instead of the destination wheel; outboxes are drained at the
+/// outbox instead of the destination's queue; outboxes are drained at the
 /// round barrier and merged in deterministic (t, src_shard, seq) order, so
 /// serial and S-shard runs are event-for-event identical at any thread
 /// count.
@@ -36,13 +36,13 @@ struct ShardStats {
 ///     end[s] = min( next(s) + 2L, min over x != s of next(x) + L )
 ///
 /// where next(x) is x's earliest pending event: no message can arrive at s
-/// before end[s] that is not already in s's wheel. The 2L term is what
+/// before end[s] that is not already in s's queue. The 2L term is what
 /// makes the naive "min over other shards' next + L" bound safe: an event
 /// on s itself can round-trip through an idle shard and re-enter s's near
-/// future, so s is bounded by its own shortest cycle. Only the two smallest
-/// next values enter the formula, so a round's horizons cost O(S). A shard
-/// with next(s) >= end[s] simply sits the round out — its wheel is
-/// untouched, so its next-event query stays O(1) (memoized in the wheel).
+/// future, so s is bounded by its own shortest cycle. Every round re-reads
+/// every shard's next(s) — the front of its event heap, O(1) — and only the
+/// two smallest next values enter the formula, so a round's horizons cost
+/// O(S). A shard with next(s) >= end[s] simply sits the round out.
 ///
 /// ## Windows vs rounds: empty-window fusion
 ///
@@ -129,7 +129,6 @@ class ShardedEngine {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<Time> next_;    // per-round scratch: earliest pending event
   std::vector<Time> ends_;    // per-round horizon; 0 = sits this round out
-  std::vector<char> injected_;  // per-round scratch: merge touched this shard
   Time lookahead_ = 0;
   int threads_ = 1;
   std::uint64_t windows_ = 0;

@@ -19,11 +19,6 @@ sim::Time StorageSystem::busy_time() const noexcept {
   return busy_accum_ + (flows_.empty() ? 0 : eng_.now() - busy_since_);
 }
 
-double StorageSystem::per_flow_rate_bps() const {
-  const int n = active_flows();
-  return cfg_.per_client_mbps(n) * kBytesPerMb;
-}
-
 void StorageSystem::recompute_rates() {
   const int n = active_flows();
   if (n == 0) return;

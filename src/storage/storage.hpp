@@ -82,9 +82,6 @@ class StorageSystem {
   /// Simulated time during which at least one flow was active.
   sim::Time busy_time() const noexcept;
 
-  /// Current fair-share rate in bytes per second (0 if idle).
-  double per_flow_rate_bps() const;
-
  private:
   struct Flow {
     double remaining;  // bytes left to move

@@ -129,15 +129,6 @@ sim::Task<void> TieredStore::replicate_image(std::uint64_t id) {
   trace_event(img.node, "replicate", "end img=" + std::to_string(id));
 }
 
-sim::Task<void> TieredStore::read_local(int node, Bytes bytes) {
-  sim::Engine& eng = engine_of(node);
-  NodeState& st = nodes_[node];
-  const sim::Time start = std::max(eng.now(), st.disk_busy_until);
-  const sim::Time done = start + transfer_time(bytes, cfg_.local_read_mbps);
-  st.disk_busy_until = done;
-  co_await eng.delay_until(done);
-}
-
 sim::Task<void> TieredStore::drain_service(int node) {
   sim::Engine& eng = engine_of(node);
   NodeState& st = nodes_[node];

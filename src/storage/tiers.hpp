@@ -135,15 +135,10 @@ class TieredStore {
   /// Returns the ledger id. Must be called on `node`'s engine (rank LP).
   sim::Task<std::uint64_t> snapshot(int node, Bytes bytes);
 
-  /// Local restore read on `node` (dedicated bandwidth, serialized on the
-  /// node's disk like writes). Must be called on `node`'s engine.
-  sim::Task<void> read_local(int node, Bytes bytes);
-
   /// Pauses / resumes node's background drain (between chunks). Pure state
   /// flips on node-owned slots: callers route them to the node's shard.
   void pause_drain(int node);
   void resume_drain(int node);
-  bool drain_paused(int node) const { return nodes_[node].paused; }
 
   /// Waits until every enqueued image has fully drained to the PFS (no-op
   /// when draining is disabled). Single-engine (bus-less) use only.
@@ -233,9 +228,7 @@ class TieredStore {
   }
   /// Images still waiting for (or in) the drain across all nodes.
   int drain_backlog() const;
-  /// Drain service coroutines currently alive (they are detached engine
-  /// processes; periodic checkpoint drivers must not count them as
-  /// application activity).
+  /// Drain service coroutines currently alive (detached engine processes).
   int drain_tasks_running() const;
 
  private:

@@ -31,10 +31,8 @@ struct CkptWorld {
 
   template <typename F>
   void run_all(F&& per_rank) {
-    for (int r = 0; r < mpi.nranks(); ++r) {
-      eng.spawn(per_rank(mpi.rank(r)));
-    }
-    eng.run();
+    cluster.spawn_ranks(per_rank);
+    cluster.run();
   }
 
  private:

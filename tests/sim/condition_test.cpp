@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -139,94 +138,6 @@ TEST(Condition, WaitForTimedOutWaiterIgnoresLaterNotify) {
   eng.schedule_at(50, [&] { cv.notify_all(); });
   eng.run();
   EXPECT_EQ(wakes, 1);
-}
-
-TEST(Gate, OpenGatePassesImmediately) {
-  Engine eng;
-  Gate gate(eng, /*open=*/true);
-  bool passed = false;
-  eng.spawn([](Gate& g, bool& p) -> Task<void> {
-    co_await g.pass();
-    p = true;
-  }(gate, passed));
-  EXPECT_TRUE(passed);
-  eng.run();
-}
-
-TEST(Gate, ClosedGateBlocksUntilOpened) {
-  Engine eng;
-  Gate gate(eng, /*open=*/false);
-  Time passed_at = -1;
-  eng.spawn([](Engine& e, Gate& g, Time& at) -> Task<void> {
-    co_await g.pass();
-    at = e.now();
-  }(eng, gate, passed_at));
-  eng.schedule_at(77, [&] { gate.open(); });
-  eng.run();
-  EXPECT_EQ(passed_at, 77);
-}
-
-TEST(Gate, ReclosedGateBlocksNewArrivals) {
-  Engine eng;
-  Gate gate(eng, /*open=*/true);
-  gate.close();
-  bool passed = false;
-  eng.spawn([](Gate& g, bool& p) -> Task<void> {
-    co_await g.pass();
-    p = true;
-  }(gate, passed));
-  eng.run();
-  EXPECT_FALSE(passed);
-  gate.open();
-  eng.run();
-  EXPECT_TRUE(passed);
-}
-
-TEST(Mailbox, DeliversInFifoOrder) {
-  Engine eng;
-  Mailbox<int> box(eng);
-  std::vector<int> got;
-  eng.spawn([](Mailbox<int>& b, std::vector<int>& out) -> Task<void> {
-    for (int i = 0; i < 3; ++i) out.push_back(co_await b.recv());
-  }(box, got));
-  box.send(1);
-  box.send(2);
-  box.send(3);
-  eng.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Mailbox, RecvBlocksUntilSend) {
-  Engine eng;
-  Mailbox<std::string> box(eng);
-  Time got_at = -1;
-  eng.spawn([](Engine& e, Mailbox<std::string>& b, Time& at) -> Task<void> {
-    auto s = co_await b.recv();
-    EXPECT_EQ(s, "hello");
-    at = e.now();
-  }(eng, box, got_at));
-  eng.schedule_at(42, [&] { box.send("hello"); });
-  eng.run();
-  EXPECT_EQ(got_at, 42);
-}
-
-TEST(Mailbox, MultipleConsumersEachGetOneItem) {
-  Engine eng;
-  Mailbox<int> box(eng);
-  int sum = 0;
-  for (int i = 0; i < 3; ++i) {
-    eng.spawn([](Mailbox<int>& b, int& s) -> Task<void> {
-      s += co_await b.recv();
-    }(box, sum));
-  }
-  eng.schedule_at(1, [&] {
-    box.send(100);
-    box.send(10);
-    box.send(1);
-  });
-  eng.run();
-  EXPECT_EQ(sum, 111);
-  EXPECT_TRUE(box.empty());
 }
 
 }  // namespace

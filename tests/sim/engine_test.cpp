@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -35,6 +36,22 @@ TEST(Engine, SameTimeCallbacksFireInScheduleOrder) {
   eng.run();
   ASSERT_EQ(order.size(), 16u);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
+}
+
+// A back-band event runs after every normal event at its instant, including
+// one that a same-instant event schedules with schedule_now after the
+// back-band event was queued.
+TEST(Engine, BackBandRunsAfterSameInstantScheduleNow) {
+  Engine eng;
+  std::string log;
+  eng.schedule_at(10, [&] { log += 'A'; });
+  eng.schedule_at(10, [&] {
+    log += 'B';
+    eng.schedule_now([&] { log += 'C'; });
+  });
+  eng.schedule_at_back(10, [&] { log += 'S'; });
+  eng.run();
+  EXPECT_EQ(log, "ABCS");
 }
 
 TEST(Engine, ScheduleAfterUsesCurrentTime) {

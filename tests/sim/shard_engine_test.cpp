@@ -47,7 +47,9 @@ TEST(ShardedEngine, SingleShardMatchesSerialEngine) {
 TEST(ShardedEngine, SameTimeCrossPostsMergeBySrcThenSeq) {
   ShardedEngine::Options opts;
   opts.shards = 3;
-  opts.lookahead = 10;
+  // Shard 0 posts at now=1 for t=10, so the lookahead may be at most 9
+  // (post() asserts t >= now + L).
+  opts.lookahead = 9;
   opts.threads = 1;
   ShardedEngine se(opts);
   std::vector<std::string> dst_log;  // only shard 2 appends
