@@ -31,6 +31,8 @@ class FlagSet {
   /// request returns false with empty error().
   bool parse(int argc, const char* const* argv);
 
+  /// Was a flag of this name declared?
+  bool has(const std::string& name) const { return flags_.count(name) != 0; }
   std::string get_string(const std::string& name) const;
   double get_double(const std::string& name) const;
   int get_int(const std::string& name) const;

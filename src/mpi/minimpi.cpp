@@ -29,9 +29,7 @@ MiniMPI::MiniMPI(sim::Engine& eng, net::Fabric& fabric, MpiConfig cfg)
     // flights at the destination's home shard), so it may touch RankCtx
     // state directly.
     fabric_.set_receiver(
-        r, [ctx = ranks_.back().get()](net::Packet p) {
-          ctx->on_packet(std::move(p));
-        });
+        r, [ctx = ranks_.back().get()](net::Packet& p) { ctx->on_packet(p); });
   }
   comms_.push_back(std::make_unique<Comm>(comm_counter_++, world_members));
 }
@@ -95,13 +93,22 @@ std::vector<MessageRecord> MiniMPI::message_records() const {
     std::uint64_t id;
     MessageRecord rec;
   };
+  // Ids are job-wide unique, so one id-sorted arrival list serves every
+  // receiver.
+  std::vector<std::pair<std::uint64_t, sim::Time>> arrivals;
+  for (const auto& rc : ranks_) {
+    arrivals.insert(arrivals.end(), rc->arrivals_.begin(),
+                    rc->arrivals_.end());
+  }
+  std::sort(arrivals.begin(), arrivals.end());
   std::vector<Item> items;
   for (const auto& rc : ranks_) {
     for (const auto& [id, rec] : rc->records_) {
       MessageRecord m = rec;
-      const auto& arrivals = ranks_[m.dst]->arrivals_;
-      auto it = arrivals.find(id);
-      if (it != arrivals.end()) m.arrival_time = it->second;
+      auto it = std::lower_bound(
+          arrivals.begin(), arrivals.end(), id,
+          [](const auto& a, std::uint64_t key) { return a.first < key; });
+      if (it != arrivals.end() && it->first == id) m.arrival_time = it->second;
       items.push_back(Item{id, m});
     }
   }
@@ -140,7 +147,7 @@ void RankCtx::record_transmit(std::uint64_t id, int dst, Bytes b) {
 
 void RankCtx::record_arrival(std::uint64_t id) {
   if (!mpi_.cfg_.record_messages) return;
-  arrivals_[id] = eng_.now();
+  arrivals_.emplace_back(id, eng_.now());
 }
 
 Request RankCtx::make_request(bool is_recv) {
@@ -150,6 +157,24 @@ Request RankCtx::make_request(bool is_recv) {
       sim::ArenaAlloc<ReqState>(req_arena_), engine());
   req->is_recv = is_recv;
   return req;
+}
+
+std::uint32_t RankCtx::park(Request req) {
+  if (free_slots_.empty()) {
+    rndv_slots_.push_back(std::move(req));
+    return static_cast<std::uint32_t>(rndv_slots_.size() - 1);
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  rndv_slots_[slot] = std::move(req);
+  return slot;
+}
+
+Request RankCtx::unpark(std::uint32_t slot) {
+  assert(slot < rndv_slots_.size() && rndv_slots_[slot] &&
+         "rendezvous packet for an empty slot");
+  free_slots_.push_back(slot);
+  return std::move(rndv_slots_[slot]);
 }
 
 void RankCtx::complete(const Request& req) {
@@ -181,12 +206,9 @@ Tag RankCtx::begin_collective(const Comm& c) {
 // RankCtx: outbound pipeline
 // ---------------------------------------------------------------------------
 
-net::Packet RankCtx::to_packet(const OutItem& item) const {
+net::Packet RankCtx::to_packet(OutItem&& item) {
   net::Packet p;
   p.id = item.env.id;
-  // The envelope crosses shards by value inside the packet body; the
-  // payload shared_ptr has an atomic refcount, so the copy is shard-safe.
-  p.body = net::WireBody::make<Envelope>(item.env);
   switch (item.kind) {
     case OutItem::Kind::kEager:
       p.src = item.env.src_world;
@@ -219,6 +241,10 @@ net::Packet RankCtx::to_packet(const OutItem& item) const {
       p.kind = net::PacketKind::kFin;
       break;
   }
+  // The envelope crosses shards by value inside the packet body; the
+  // payload shared_ptr has an atomic refcount, so handing it over is
+  // shard-safe.
+  p.body = net::WireBody::make<Envelope>(std::move(item.env));
   return p;
 }
 
@@ -254,7 +280,7 @@ void RankCtx::push_out(int dst, OutItem item) {
                          item.kind == OutItem::Kind::kRdma;
     if (hooks() == nullptr || !payload) {
       if (payload) record_transmit(item.env.id, dst, item.env.bytes);
-      mpi_.fabric_.transmit(to_packet(item));
+      mpi_.fabric_.transmit(to_packet(std::move(item)));
       return;
     }
   }
@@ -324,7 +350,7 @@ sim::Task<void> RankCtx::pump(int dst) {
         item.kind == OutItem::Kind::kRdma) {
       record_transmit(item.env.id, dst, item.env.bytes);
     }
-    fab.transmit(to_packet(item));
+    fab.transmit(to_packet(std::move(item)));
   }
   ob.pump_running = false;
 }
@@ -341,7 +367,7 @@ sim::Task<void> RankCtx::send(const Comm& c, int dst, Tag tag, Bytes bytes,
   Envelope env{c.id(), rank_, dst_world, tag, bytes, std::move(data),
                next_id()};
   if (dst_world == rank_) {
-    deliver_eager(env);  // self-send: local copy
+    deliver_eager(std::move(env));  // self-send: local copy
     co_return;
   }
   if (bytes <= mpi_.cfg_.eager_threshold) {
@@ -354,7 +380,7 @@ sim::Task<void> RankCtx::send(const Comm& c, int dst, Tag tag, Bytes bytes,
   }
   // Rendezvous: request stays open until the FIN returns.
   auto req = make_request(/*is_recv=*/false);
-  pending_send_[env.id] = req;
+  env.send_slot = park(req);
   push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
   co_await wait(req);
 }
@@ -367,7 +393,7 @@ Request RankCtx::isend(const Comm& c, int dst, Tag tag, Bytes bytes,
                next_id()};
   auto req = make_request(/*is_recv=*/false);
   if (dst_world == rank_) {
-    deliver_eager(env);
+    deliver_eager(std::move(env));
     req->done = true;
     return req;
   }
@@ -377,7 +403,7 @@ Request RankCtx::isend(const Comm& c, int dst, Tag tag, Bytes bytes,
     req->done = true;  // buffered: locally complete
     return req;
   }
-  pending_send_[env.id] = req;
+  env.send_slot = park(req);
   push_out(dst_world, OutItem{OutItem::Kind::kRts, std::move(env), true});
   return req;
 }
@@ -402,7 +428,7 @@ Request RankCtx::irecv(const Comm& c, int src, Tag tag) {
   if (auto um = matcher_.take_unexpected(req->comm_id, req->match_src,
                                          req->match_tag)) {
     if (um->rndv) {
-      start_rndv_receive(um->env, req);
+      start_rndv_receive(std::move(um->env), req);
     } else {
       req->info = fill_info(um->env);
       req->done = true;
@@ -452,7 +478,7 @@ bool RankCtx::iprobe(const Comm& c, int src, Tag tag) {
 // RankCtx: delivery path
 // ---------------------------------------------------------------------------
 
-void RankCtx::deliver_eager(const Envelope& env) {
+void RankCtx::deliver_eager(Envelope env) {
   if (MpiHooks* hk = hooks()) {
     hk->on_deliver(env.src_world, rank_, env.bytes);
   }
@@ -462,61 +488,58 @@ void RankCtx::deliver_eager(const Envelope& env) {
     complete(req);
     return;
   }
-  matcher_.push_unexpected(env, /*rndv=*/false);
+  matcher_.push_unexpected(std::move(env), /*rndv=*/false);
 }
 
-void RankCtx::start_rndv_receive(const Envelope& env, const Request& req) {
-  rndv_recv_[env.id] = req;
-  push_out(env.src_world, OutItem{OutItem::Kind::kCts, env, true});
+void RankCtx::start_rndv_receive(Envelope env, const Request& req) {
+  env.recv_slot = park(req);
+  const int sender = env.src_world;
+  push_out(sender, OutItem{OutItem::Kind::kCts, std::move(env), true});
 }
 
-void RankCtx::deliver_rts(const Envelope& env) {
+void RankCtx::deliver_rts(Envelope env) {
   if (Request req = matcher_.match_posted(env)) {
-    start_rndv_receive(env, req);
+    start_rndv_receive(std::move(env), req);
     return;
   }
-  matcher_.push_unexpected(env, /*rndv=*/true);
+  matcher_.push_unexpected(std::move(env), /*rndv=*/true);
 }
 
-void RankCtx::on_packet(net::Packet p) {
+void RankCtx::on_packet(net::Packet& p) {
   assert(p.kind != net::PacketKind::kControl &&
          "MiniMPI receives data-plane packets only");
   assert(!p.body.empty() && "data-plane packet without an envelope");
-  const Envelope& env = p.body.get<Envelope>();
+  // The body is dropped once this returns, so the envelope is moved on
+  // wherever it travels further.
+  Envelope& env = p.body.get<Envelope>();
   switch (p.kind) {
     case net::PacketKind::kEager:
-      deliver_eager(env);
+      deliver_eager(std::move(env));
       break;
     case net::PacketKind::kRts:
-      deliver_rts(env);
+      deliver_rts(std::move(env));
       break;
     case net::PacketKind::kCts: {
       // We are the original sender: stream the data.
-      push_out(env.dst_world, OutItem{OutItem::Kind::kRdma, env, true});
+      const int receiver = env.dst_world;
+      push_out(receiver, OutItem{OutItem::Kind::kRdma, std::move(env), true});
       break;
     }
     case net::PacketKind::kRdmaData: {
-      auto it = rndv_recv_.find(env.id);
-      assert(it != rndv_recv_.end() && "RDMA data with no receive in progress");
-      Request req = it->second;
-      rndv_recv_.erase(it);
+      Request req = unpark(env.recv_slot);
       if (MpiHooks* hk = hooks()) {
         hk->on_deliver(env.src_world, rank_, env.bytes);
       }
       record_arrival(env.id);
       req->info = fill_info(env);
       complete(req);
-      push_out(env.src_world, OutItem{OutItem::Kind::kFin, env, true});
+      const int sender = env.src_world;
+      push_out(sender, OutItem{OutItem::Kind::kFin, std::move(env), true});
       break;
     }
-    case net::PacketKind::kFin: {
-      auto it = pending_send_.find(env.id);
-      assert(it != pending_send_.end() && "FIN with no pending send");
-      Request req = it->second;
-      pending_send_.erase(it);
-      complete(req);
+    case net::PacketKind::kFin:
+      complete(unpark(env.send_slot));
       break;
-    }
     case net::PacketKind::kControl:
       break;  // asserted above
   }

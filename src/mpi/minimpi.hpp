@@ -190,7 +190,9 @@ class RankCtx {
   Bytes message_buffer_bytes() const noexcept { return msg_buffer_cur_; }
 
   // --- internal: called by the fabric's delivery path (on this shard) ---
-  void on_packet(net::Packet p);
+  /// Handles one arrived packet in place: the fabric lends the packet
+  /// inside its flight record and drops the body once this returns.
+  void on_packet(net::Packet& p);
 
   /// Marks a request complete and wakes its waiters (used by the
   /// non-blocking collective drivers).
@@ -221,12 +223,17 @@ class RankCtx {
   void push_out(int dst, OutItem item);
   void account_buffered(OutItem& item);
   sim::Task<void> pump(int dst);
-  net::Packet to_packet(const OutItem& item) const;
+  /// Builds the wire packet, moving the envelope out of the consumed item.
+  static net::Packet to_packet(OutItem&& item);
   Request make_request(bool is_recv);
   void complete(const Request& req);
-  void deliver_eager(const Envelope& env);
-  void deliver_rts(const Envelope& env);
-  void start_rndv_receive(const Envelope& env, const Request& req);
+  /// Parks an open rendezvous request in the slot table; returns its slot.
+  std::uint32_t park(Request req);
+  /// Takes the request out of `slot` and frees the slot for reuse.
+  Request unpark(std::uint32_t slot);
+  void deliver_eager(Envelope env);
+  void deliver_rts(Envelope env);
+  void start_rndv_receive(Envelope env, const Request& req);
   RecvInfo fill_info(const Envelope& env) const;
   /// Allocates the tag base for one collective operation on `c`; all member
   /// ranks call collectives in the same order, so bases agree.
@@ -241,8 +248,11 @@ class RankCtx {
   std::unique_ptr<sim::Pausable> exec_;
   Matcher matcher_;
   std::map<int, Outbound> outbound_;
-  std::unordered_map<std::uint64_t, Request> pending_send_;  // by transfer id
-  std::unordered_map<std::uint64_t, Request> rndv_recv_;     // by transfer id
+  // Open rendezvous requests (sends awaiting FIN, receives awaiting RDMA
+  // data), indexed by the slot the envelope carries; freed slots are reused
+  // last-in first-out.
+  std::vector<Request> rndv_slots_;
+  std::vector<std::uint32_t> free_slots_;
   std::unordered_map<std::uint64_t, std::uint64_t> coll_seq_;  // per comm
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
@@ -252,10 +262,10 @@ class RankCtx {
   std::shared_ptr<sim::ArenaCore> req_arena_ =
       std::make_shared<sim::ArenaCore>();
   MpiStats stats_;
-  // Consistency-analysis records: transmits this rank originated (with the
-  // transfer id), arrivals keyed by id. Merged job-wide at read time.
+  // Consistency-analysis records: transmits this rank originated and
+  // arrivals here, each with its transfer id. Joined job-wide at read time.
   std::vector<std::pair<std::uint64_t, MessageRecord>> records_;
-  std::unordered_map<std::uint64_t, sim::Time> arrivals_;
+  std::vector<std::pair<std::uint64_t, sim::Time>> arrivals_;
 };
 
 /// Whole-job library instance: owns the per-rank contexts, the communicator

@@ -60,6 +60,11 @@ struct Envelope {
   Bytes bytes = 0;
   Payload data;
   std::uint64_t id = 0;  ///< unique per message/transfer
+  /// Rendezvous slots: where each end parked the open request. The sender
+  /// stamps send_slot on the RTS, the receiver recv_slot on the CTS; RDMA
+  /// data and FIN carry both back, so each end finds its request by index.
+  std::uint32_t send_slot = 0;
+  std::uint32_t recv_slot = 0;
 };
 
 /// Request state shared between the app coroutine and the progress engine.

@@ -69,7 +69,7 @@ sim::Task<void> ConnectionManager::ensure_connected(int a, int b) {
 }
 
 sim::Task<void> ConnectionManager::drain(int a, int b) {
-  // In-flight counts are sender-owned: ask each endpoint, on its own shard,
+  // Outbound records are sender-owned: ask each endpoint, on its own shard,
   // to report back once its outbound lane toward the peer is empty.
   sim::LpBus& bus = fab_.bus();
   Fabric* f = &fab_;
@@ -167,13 +167,15 @@ sim::Time Fabric::latency(int src, int dst) const {
   return cfg_.wire_latency * tree_->hops(src, dst);
 }
 
-void Fabric::transmit(Packet p) { enqueue(std::move(p), /*data_plane=*/true); }
+void Fabric::transmit(Packet&& p) {
+  enqueue(std::move(p), /*data_plane=*/true);
+}
 
-void Fabric::transmit_control(Packet p) {
+void Fabric::transmit_control(Packet&& p) {
   enqueue(std::move(p), /*data_plane=*/false);
 }
 
-void Fabric::enqueue(Packet p, bool data_plane) {
+void Fabric::enqueue(Packet&& p, bool data_plane) {
   assert(p.src >= 0 && p.src < n_ && p.dst >= 0 && p.dst < n_);
   const int src = p.src;
   const int dst = p.dst;
@@ -183,7 +185,6 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   rn.bytes += p.bytes;
   // Sender-side ownership: only src's shard touches src's outbound records.
   RankNet::Outbound& out = rn.out[dst];
-  ++out.in_flight;
   if (data_plane) {
     out.bytes += p.bytes;
     ++out.messages;
@@ -197,6 +198,8 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   const sim::Time done = start + cfg_.per_message_overhead + xfer;
   rn.nic_busy = done;
   const sim::Time arrival = done + latency(src, dst);
+  assert(arrival > out.last_arrival && "per-pair arrivals must increase");
+  out.last_arrival = arrival;
   const int home = bus_.shard_of(src);
   FlightRec* rec = acquire_rec(home);
   rec->pkt = std::move(p);
@@ -213,16 +216,6 @@ void Fabric::enqueue(Packet p, bool data_plane) {
   } else {
     bus_.post_raw(src, dst, arrival, FlightArrive{rec});
   }
-  // Sender-side completion: the packet leaves the in-flight lane at its
-  // arrival instant (drain watches these counters). It rides the sender's
-  // settle pre-lane — push order is the sender's own execution order, and
-  // only sender-owned state is touched — so the decrement lands at the same
-  // canonical point (before the sorted deliveries at the arrival sweep) in
-  // serial and sharded runs alike, without paying for an origin sequence.
-  bus_.settle_at(src, arrival, [this, src, dst] {
-    RankNet& s = *rank_net_[src];
-    if (--s.out[dst].in_flight == 0) s.out_cv.notify_all();
-  });
 }
 
 void Fabric::FlightArrive::operator()() {
@@ -233,11 +226,16 @@ void Fabric::FlightArrive::operator()() {
 }
 
 void Fabric::FlightDeliver::operator()() {
+  Fabric* f = rec->fab;
+  Packet& p = rec->pkt;
+  auto& rx = f->receivers_[p.dst];
+  assert(rx && "no receiver registered");
+  rx(p);
+  // Drop the body here, on the receiver's shard, before the record heads
+  // home: payload references never outlive the delivery.
+  p.body = nullptr;
   FlightRec* r = std::exchange(rec, nullptr);
-  Fabric* f = r->fab;
-  Packet p = std::move(r->pkt);
-  f->recycle_local(r, f->bus_.shard_of(p.dst));
-  f->deliver(std::move(p));
+  f->recycle_local(r, f->bus_.shard_of(r->pkt.dst));
 }
 
 Fabric::FlightRec* Fabric::acquire_rec(int shard) {
@@ -266,12 +264,6 @@ void Fabric::reclaim(int shard) {
   }
 }
 
-void Fabric::deliver(Packet p) {
-  auto& rx = receivers_[p.dst];
-  assert(rx && "no receiver registered");
-  rx(std::move(p));
-}
-
 sim::Task<void> Fabric::ensure_connected_from(int src, int dst) {
   RankNet& rn = *rank_net_[src];
   RankNet::Link& link = rn.links[dst];
@@ -296,12 +288,19 @@ void Fabric::mirror_state(int ep, int peer, ConnState s) {
 
 sim::Task<void> Fabric::drain_outbound(int src, int dst) {
   RankNet& rn = *rank_net_[src];
-  while (outbound_in_flight(src, dst) != 0) co_await rn.out_cv.wait();
+  // Runs inside a settle sweep (bus RPC), after this instant's pre-lane:
+  // the wake registered here fires in the pre-lane at the last arrival
+  // instant, and a packet sent meanwhile moves that instant on.
+  while (!outbound_drained(src, dst)) {
+    bus_.settle_at(src, outbound(src, dst)->last_arrival,
+                   [&rn] { rn.out_cv.notify_all(); });
+    co_await rn.out_cv.wait();
+  }
 }
 
-std::int64_t Fabric::outbound_in_flight(int src, int dst) const {
+bool Fabric::outbound_drained(int src, int dst) const {
   const RankNet::Outbound* o = outbound(src, dst);
-  return o == nullptr ? 0 : o->in_flight;
+  return o == nullptr || o->last_arrival <= bus_.engine_of(src).now();
 }
 
 void Fabric::request_lock(int ep) {

@@ -180,8 +180,8 @@ class ConnectionManager {
   /// No-op if already disconnected.
   sim::Task<void> disconnect(int a, int b);
 
-  /// Waits until no packet is in flight on a<->b (channel flush). Queries
-  /// both endpoints' sender-side in-flight counters by message.
+  /// Waits until no packet is in flight on a<->b (channel flush). Asks
+  /// each endpoint, by message, to wait out its own outbound lane.
   sim::Task<void> drain(int a, int b);
 
   ConnState state(int a, int b) const;
@@ -236,16 +236,20 @@ class ConnectionManager {
 /// ## Per-rank ownership (DESIGN.md §13)
 ///
 /// Every piece of mutable per-rank state — the NIC busy horizon, the
-/// per-peer outbound records (in-flight counts and traffic sent), the
+/// per-peer outbound records (last arrival instant and traffic sent), the
 /// connection mirrors — is owned by the rank's home shard; transmit() must
-/// run there. Flights travel as pooled FlightRecs posted straight to the
-/// destination rank's shard, where delivery goes through the LpBus inbox so
-/// the order among same-instant arrivals is canonical at any shard count.
-/// Records recycle to their home shard's pool over a lock-free return
-/// stack, keeping the hot path allocation-free in sharded runs too.
+/// run there. A packet is moved once, into a pooled FlightRec posted
+/// straight to the destination rank's shard, where delivery goes through
+/// the LpBus inbox so the order among same-instant arrivals is canonical at
+/// any shard count; the receiver handles it in place. Each packet costs one
+/// bus delivery: nothing runs on the sender's side when it lands. Records
+/// recycle to their home shard's pool over a lock-free return stack,
+/// keeping the hot path allocation-free in sharded runs too.
 class Fabric {
  public:
-  using Deliver = std::function<void(Packet)>;
+  /// Receiver callback: handles the packet in place inside its flight
+  /// record; the body is dropped when it returns.
+  using Deliver = std::function<void(Packet&)>;
 
   /// `bus` connects the fabric to the cluster's LP topology: rank state
   /// lives on each rank's home shard, the connection manager on the
@@ -267,12 +271,12 @@ class Fabric {
 
   /// Queues a packet on src's NIC (call on src's shard). The MPI layer's
   /// send pump checks the sender-side connection mirror before calling.
-  void transmit(Packet p);
+  void transmit(Packet&& p);
 
   /// Control-plane message (coordination): does not require an established
   /// data connection — the C/R framework exchanges these over a dedicated
   /// channel. Costs per_message_overhead + wire_latency.
-  void transmit_control(Packet p);
+  void transmit_control(Packet&& p);
 
   /// Sender-side connection mirror check (the pump's fast path). Call on
   /// src's shard.
@@ -286,8 +290,11 @@ class Fabric {
   /// resumes once the mirror shows kConnected. Call on src's shard.
   sim::Task<void> ensure_connected_from(int src, int dst);
 
-  /// Rank-side channel flush: waits until src has no packet in flight
-  /// toward dst (sender-side counter). Call on src's shard.
+  /// Rank-side channel flush: waits until src's last packet toward dst has
+  /// arrived. Reached only by bus RPC, so it runs inside a settle sweep;
+  /// while packets are in flight it parks on one settle_at callback at the
+  /// last arrival instant, which wakes it in that instant's pre-lane. Call
+  /// on src's shard.
   sim::Task<void> drain_outbound(int src, int dst);
 
   /// Sends a freeze-lock/unlock request for `ep` to the connection manager
@@ -325,9 +332,10 @@ class Fabric {
   /// Applies a connection-state mirror update at endpoint `ep` for `peer`
   /// (invoked via the bus by the ConnectionManager; runs on ep's shard).
   void mirror_state(int ep, int peer, ConnState s);
-  /// Sender-side in-flight count src -> dst (rank-owned; read on src's
-  /// shard).
-  std::int64_t outbound_in_flight(int src, int dst) const;
+  /// True when no packet src -> dst is in flight past src's now: src never
+  /// sent to dst, or the last arrival is not in the future. Inside a settle
+  /// sweep an arrival at `now` has landed (rank-owned; read on src's shard).
+  bool outbound_drained(int src, int dst) const;
 
  private:
   friend class ConnectionManager;
@@ -368,6 +376,9 @@ class Fabric {
     }
     void operator()();
   };
+  /// Hands rec->pkt to the receiver by reference, then drops the body and
+  /// recycles the record. rec is cleared only after delivery, so the
+  /// destructor still recycles it if the receiver throws.
   struct FlightDeliver {
     FlightRec* rec;
     explicit FlightDeliver(FlightRec* r) noexcept : rec(r) {}
@@ -382,7 +393,7 @@ class Fabric {
 
   /// Tiny per-peer table: a rank talks to a handful of peers, so a linear
   /// scan beats a node-based map on the per-message hot path (mirror check
-  /// + in-flight count on every transmit). Deque storage keeps references
+  /// + outbound record on every transmit). Deque storage keeps references
   /// stable across inserts — pumps and connection waiters hold a slot
   /// reference across suspension points while other peers get added.
   template <typename V>
@@ -421,11 +432,14 @@ class Fabric {
     };
     PeerTable<Link> links;
     sim::Condition conn_cv;
-    /// Per-destination sender-side record: packets in flight (drain watches
-    /// it) and data-plane traffic sent (group formation reads it). Sparse:
-    /// one slot per peer this rank ever transmitted to.
+    /// Per-destination sender-side record: the arrival instant of the last
+    /// packet sent (drain waits for it) and data-plane traffic sent (group
+    /// formation reads it). Sparse: one slot per peer this rank ever
+    /// transmitted to. Arrivals per pair strictly increase — the NIC
+    /// serializes with a positive per-message overhead and latency(src,
+    /// dst) is fixed — so the last arrival is the latest one.
     struct Outbound {
-      std::int64_t in_flight = 0;
+      sim::Time last_arrival = 0;
       Bytes bytes = 0;
       std::int64_t messages = 0;
     };
@@ -435,8 +449,7 @@ class Fabric {
 
   /// src's record for dst, or null if src never transmitted to dst.
   const RankNet::Outbound* outbound(int src, int dst) const;
-  void enqueue(Packet p, bool data_plane);
-  void deliver(Packet p);
+  void enqueue(Packet&& p, bool data_plane);
   FlightRec* acquire_rec(int shard);
   void recycle_local(FlightRec* rec, int caller_shard);
   void recycle_remote(FlightRec* rec);

@@ -125,10 +125,11 @@ class LpBus {
 
   /// Runs `fn` in lp's shard's settle sweep at time t, *before* the sorted
   /// deliveries, in push order. No origin sequencing: only for callbacks
-  /// that mutate lp's own state and need no canonical order against other
-  /// LPs' callbacks — the fabric's sender-side completion counters, whose
-  /// push order is the pushing LP's own execution order at any layout.
-  /// Must be called from lp's shard with t in its future.
+  /// that touch lp's own state and need no canonical order against other
+  /// LPs' callbacks — the fabric's drain waiter, which wakes itself at its
+  /// lane's last arrival instant; push order is the pushing LP's own
+  /// execution order at any layout. Must be called from lp's shard with t
+  /// in its future.
   void settle_at(int lp, Time t, InlineFn fn) {
     bucket_at(shard_of(lp), t).pre.push_back(Pre{lp, std::move(fn)});
   }

@@ -9,11 +9,13 @@
 //   gbcsim storage  the storage-bottleneck curve (Fig. 1 style)
 //
 // Every run is deterministic. `gbcsim <command> --help` lists the flags.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/thread_budget.hpp"
@@ -106,15 +108,12 @@ void add_shard_flags(harness::FlagSet& flags) {
                 "thread budget)");
 }
 
-// Validates the --shards/--threads combination against the rank count.
-// Returns false after printing a usage message; callers exit 2.
+// Validates the --shards/--threads combination against the rank count
+// (already checked >= 1 by validate_common_flags). Returns false after
+// printing a usage message; callers exit 2.
 bool validate_shard_flags(const harness::FlagSet& flags, int ranks) {
   const int shards = flags.get_int("shards");
   const int threads = flags.get_int("threads");
-  if (ranks < 1) {
-    std::fprintf(stderr, "--ranks must be >= 1\n%s", flags.usage().c_str());
-    return false;
-  }
   if (shards < 1 || shards > ranks) {
     std::fprintf(stderr, "--shards must be in [1, --ranks]\n%s",
                  flags.usage().c_str());
@@ -131,6 +130,51 @@ bool validate_shard_flags(const harness::FlagSet& flags, int ranks) {
     return false;
   }
   return true;
+}
+
+// Validates the flags add_common_flags declares, plus --issuance and
+// --iterations where the subcommand has them. Returns false after printing
+// the reason and usage; callers exit 2.
+bool validate_common_flags(const harness::FlagSet& flags) {
+  struct IntMin {
+    const char* name;
+    int min;
+  };
+  static constexpr IntMin kInts[] = {{"ranks", 1},     {"comm-group", 1},
+                                     {"group-size", 0}, {"stripe", 0},
+                                     {"iterations", 0}};
+  static constexpr const char* kNonNegative[] = {
+      "footprint-mib", "issuance", "local-write-mbps", "tier-capacity-mib",
+      "drain-mbps"};
+  static const std::vector<std::string> kWorkloads = {
+      "microbench", "barrier", "hpl", "motifminer", "stencil"};
+  static const std::vector<std::string> kProtocols = {
+      "group", "blocking", "chandy-lamport", "uncoordinated"};
+  const auto fail = [&flags](const std::string& why) {
+    std::fprintf(stderr, "%s\n%s", why.c_str(), flags.usage().c_str());
+    return false;
+  };
+  for (const IntMin& f : kInts) {
+    if (flags.has(f.name) && flags.get_int(f.name) < f.min) {
+      return fail("--" + std::string(f.name) + " must be >= " +
+                  std::to_string(f.min));
+    }
+  }
+  for (const char* name : kNonNegative) {
+    if (flags.has(name) && flags.get_double(name) < 0.0) {
+      return fail("--" + std::string(name) + " must be >= 0");
+    }
+  }
+  const auto one_of = [&](const char* name,
+                          const std::vector<std::string>& names) {
+    const std::string v = flags.get_string(name);
+    if (std::find(names.begin(), names.end(), v) != names.end()) return true;
+    std::string list;
+    for (const std::string& n : names) list += (list.empty() ? "" : ", ") + n;
+    return fail("--" + std::string(name) + " must be one of " + list +
+                " (got '" + v + "')");
+  };
+  return one_of("workload", kWorkloads) && one_of("protocol", kProtocols);
 }
 
 ckpt::Protocol parse_protocol(const std::string& s) {
@@ -226,7 +270,10 @@ int cmd_run(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
-  if (!validate_shard_flags(flags, flags.get_int("ranks"))) return 2;
+  if (!validate_common_flags(flags) ||
+      !validate_shard_flags(flags, flags.get_int("ranks"))) {
+    return 2;
+  }
 
   harness::ClusterPreset preset = make_cluster(flags);
   if (!apply_erasure_flag(flags, &preset)) return 2;
@@ -320,6 +367,7 @@ int cmd_delay(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
+  if (!validate_common_flags(flags)) return 2;
   auto cluster = make_cluster(flags);
   if (!apply_erasure_flag(flags, &cluster)) return 2;
   auto factory = make_workload(flags, cluster.nranks);
@@ -348,6 +396,7 @@ int cmd_sweep(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
+  if (!validate_common_flags(flags)) return 2;
   auto cluster = make_cluster(flags);
   if (!apply_erasure_flag(flags, &cluster)) return 2;
   auto factory = make_workload(flags, cluster.nranks);
@@ -384,6 +433,7 @@ int cmd_trace(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
+  if (!validate_common_flags(flags)) return 2;
   auto cluster = make_cluster(flags);
   if (cluster.nranks > 16) cluster.nranks = 16;  // keep the chart readable
   if (!apply_erasure_flag(flags, &cluster)) return 2;
@@ -430,6 +480,7 @@ int cmd_recover(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
+  if (!validate_common_flags(flags)) return 2;
   auto cluster = make_cluster(flags);
   if (!apply_erasure_flag(flags, &cluster)) return 2;
   auto factory = make_workload(flags, cluster.nranks);
@@ -473,6 +524,7 @@ int cmd_mtbf(int argc, const char* const* argv) {
                  flags.usage().c_str());
     return flags.help_requested() ? 0 : 2;
   }
+  if (!validate_common_flags(flags)) return 2;
   auto cluster = make_cluster(flags);
   if (!apply_erasure_flag(flags, &cluster)) return 2;
   auto factory = make_workload(flags, cluster.nranks);

@@ -208,6 +208,101 @@ TEST(ShardFullStack, CrossShardRendezvousParkedRtsMatchesSerial) {
   EXPECT_EQ(serial6, sharded6);
 }
 
+// Many open rendezvous per rank: message i of rank `src` in round `round`
+// goes to src+3, src+4 or src+5 (mod 8) — another shard at both the 3- and
+// the 4-shard layout — with its own size and tag.
+constexpr int kSlotRanks = 8;
+constexpr int kOpenPerRank = 12;
+constexpr int kSlotRounds = 2;
+
+int slot_dst(int src, int i) { return (src + 3 + i % 3) % kSlotRanks; }
+int slot_src(int dst, int i) {
+  return (dst + 2 * kSlotRanks - 3 - i % 3) % kSlotRanks;
+}
+mpi::Tag slot_tag(int round, int src, int i) {
+  return 1000 * round + 100 * src + i;
+}
+storage::Bytes slot_bytes(int round, int src, int i) {
+  return 64 * storage::kKiB +
+         ((round * kSlotRanks + src) * kOpenPerRank + i) * storage::kKiB;
+}
+
+struct Got {
+  int source;
+  mpi::Tag tag;
+  storage::Bytes bytes;
+  bool operator==(const Got&) const = default;
+};
+
+// Every rank opens 12 rendezvous sends at once, then posts its 12 receives
+// in reverse order: the first half before any RTS can arrive, the second
+// after a compute phase long enough for their RTS to park as unexpected.
+// Every fourth receive matches by kAnySource. Each rank appends its
+// receives' RecvInfo, in message order, to its own slot of `got`.
+auto slot_program(std::vector<std::vector<Got>>* got) {
+  return [got](mpi::RankCtx& r) -> sim::Task<void> {
+    const mpi::Comm& wc = r.mpi().world();
+    const int me = r.world_rank();
+    for (int round = 0; round < kSlotRounds; ++round) {
+      std::vector<mpi::Request> sends;
+      for (int i = 0; i < kOpenPerRank; ++i) {
+        sends.push_back(r.isend(wc, slot_dst(me, i), slot_tag(round, me, i),
+                                slot_bytes(round, me, i)));
+      }
+      std::vector<mpi::Request> recvs(kOpenPerRank);
+      for (int i = kOpenPerRank - 1; i >= 0; --i) {
+        if (i == kOpenPerRank / 2 - 1) {
+          co_await r.compute(50 * sim::kMillisecond);
+        }
+        const int src = slot_src(me, i);
+        recvs[i] = r.irecv(wc, i % 4 == 0 ? mpi::kAnySource : src,
+                           slot_tag(round, src, i));
+      }
+      co_await r.wait_all(recvs);
+      for (const mpi::Request& req : recvs) {
+        (*got)[me].push_back(
+            Got{req->info.source, req->info.tag, req->info.bytes});
+      }
+      co_await r.wait_all(sends);
+    }
+  };
+}
+
+TEST(ShardFullStack, ManyOpenRendezvousReuseSlotsMatchSerial) {
+  // Up to 24 rendezvous requests per rank are open at once (12 sends
+  // awaiting FIN, 12 receives awaiting data), and the second round reuses
+  // the slots the first one freed. A request found under the wrong slot
+  // completes the wrong receive, so every RecvInfo is checked, and the
+  // completion times must match the serial run.
+  std::vector<Got> want_per_rank[kSlotRanks];
+  for (int me = 0; me < kSlotRanks; ++me) {
+    for (int round = 0; round < kSlotRounds; ++round) {
+      for (int i = 0; i < kOpenPerRank; ++i) {
+        const int src = slot_src(me, i);
+        want_per_rank[me].push_back(
+            Got{src, slot_tag(round, src, i), slot_bytes(round, src, i)});
+      }
+    }
+  }
+  std::vector<std::vector<Got>> got_serial(kSlotRanks);
+  std::vector<std::vector<Got>> got_3x2(kSlotRanks);
+  std::vector<std::vector<Got>> got_4x4(kSlotRanks);
+  const std::vector<sim::Time> serial =
+      run_program(kSlotRanks, 1, 1, slot_program(&got_serial));
+  const std::vector<sim::Time> sharded_3x2 =
+      run_program(kSlotRanks, 3, 2, slot_program(&got_3x2));
+  const std::vector<sim::Time> sharded_4x4 =
+      run_program(kSlotRanks, 4, 4, slot_program(&got_4x4));
+  for (int me = 0; me < kSlotRanks; ++me) {
+    EXPECT_EQ(got_serial[me], want_per_rank[me]) << "rank " << me;
+    EXPECT_EQ(got_3x2[me], want_per_rank[me]) << "rank " << me;
+    EXPECT_EQ(got_4x4[me], want_per_rank[me]) << "rank " << me;
+    EXPECT_GT(serial[me], 0) << "rank " << me;
+  }
+  EXPECT_EQ(sharded_3x2, serial);
+  EXPECT_EQ(sharded_4x4, serial);
+}
+
 TEST(ShardFullStack, PooledFlightPathRecyclesUnderSharding) {
   // The sharded wire path must stay zero-allocation in steady state:
   // in-flight packets ride pooled FlightRecs, and records freed on the

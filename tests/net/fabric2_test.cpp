@@ -25,7 +25,7 @@ Task<void> connect(Fabric& f, int a, int b) {
 TEST(Fabric2, TransferTimeScalesLinearlyWithSize) {
   World w(2);
   std::vector<Time> arrivals;
-  w.fabric.set_receiver(1, [&](Packet) { arrivals.push_back(w.eng.now()); });
+  w.fabric.set_receiver(1, [&](Packet&) { arrivals.push_back(w.eng.now()); });
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     const Time t0 = w.eng.now();
@@ -46,7 +46,7 @@ TEST(Fabric2, TransferTimeScalesLinearlyWithSize) {
 TEST(Fabric2, LockDoesNotDisturbEstablishedConnections) {
   World w(2);
   bool got = false;
-  w.fabric.set_receiver(1, [&](Packet) { got = true; });
+  w.fabric.set_receiver(1, [&](Packet&) { got = true; });
   w.eng.spawn([](World& w, bool& g) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     // Locking an endpoint blocks *new establishment*, not existing traffic.
@@ -77,7 +77,7 @@ TEST(Fabric2, DrainOnIdleConnectionReturnsImmediately) {
 
 TEST(Fabric2, ConcurrentDisconnectsResolveOnce) {
   World w(2);
-  w.fabric.set_receiver(1, [](Packet) {});
+  w.fabric.set_receiver(1, [](Packet&) {});
   int done = 0;
   w.eng.spawn([](World& w, int& d) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
@@ -111,8 +111,8 @@ TEST(Fabric2, ReconnectRaceAfterDisconnectSettlesConnected) {
 
 TEST(Fabric2, PacketCountAndByteAccounting) {
   World w(3);
-  w.fabric.set_receiver(1, [](Packet) {});
-  w.fabric.set_receiver(2, [](Packet) {});
+  w.fabric.set_receiver(1, [](Packet&) {});
+  w.fabric.set_receiver(2, [](Packet&) {});
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     co_await connect(w.fabric, 0, 2);

@@ -134,7 +134,7 @@ TEST(Fabric, EagerPacketArrivesAfterOverheadTransferAndLatency) {
   World w(2);
   Time arrived_at = -1;
   Bytes got = 0;
-  w.fabric.set_receiver(1, [&](Packet p) {
+  w.fabric.set_receiver(1, [&](Packet& p) {
     arrived_at = w.eng.now();
     got = p.bytes;
   });
@@ -155,7 +155,7 @@ TEST(Fabric, EagerPacketArrivesAfterOverheadTransferAndLatency) {
 TEST(Fabric, NicSerializesBackToBackTransfers) {
   World w(2);
   std::vector<Time> arrivals;
-  w.fabric.set_receiver(1, [&](Packet) { arrivals.push_back(w.eng.now()); });
+  w.fabric.set_receiver(1, [&](Packet&) { arrivals.push_back(w.eng.now()); });
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     for (int i = 0; i < 3; ++i) {
@@ -178,7 +178,7 @@ TEST(Fabric, NicSerializesBackToBackTransfers) {
 TEST(Fabric, IndependentSendersDoNotSerializeWithEachOther) {
   World w(3);
   std::vector<Time> arrivals;
-  w.fabric.set_receiver(2, [&](Packet) { arrivals.push_back(w.eng.now()); });
+  w.fabric.set_receiver(2, [&](Packet&) { arrivals.push_back(w.eng.now()); });
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 2);
     co_await connect(w.fabric, 1, 2);
@@ -195,7 +195,7 @@ TEST(Fabric, IndependentSendersDoNotSerializeWithEachOther) {
 
 TEST(Fabric, DrainWaitsForInFlightPackets) {
   World w(2);
-  w.fabric.set_receiver(1, [](Packet) {});
+  w.fabric.set_receiver(1, [](Packet&) {});
   Time drained_at = -1;
   w.eng.spawn([](World& w, Time& at) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
@@ -213,7 +213,7 @@ TEST(Fabric, DrainWaitsForInFlightPackets) {
 TEST(Fabric, DisconnectDrainsBeforeTeardown) {
   World w(2);
   Time delivered_at = -1;
-  w.fabric.set_receiver(1, [&](Packet) { delivered_at = w.eng.now(); });
+  w.fabric.set_receiver(1, [&](Packet&) { delivered_at = w.eng.now(); });
   Time disconnected_at = -1;
   w.eng.spawn([](World& w, Time& at) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
@@ -227,10 +227,70 @@ TEST(Fabric, DisconnectDrainsBeforeTeardown) {
   EXPECT_GE(disconnected_at, delivered_at + w.cfg.teardown_cost);
 }
 
+Task<void> drain_from_zero(World& w, int peer, Time start, Time& done) {
+  co_await w.eng.delay_until(start);
+  co_await w.fabric.connections().drain(0, peer);
+  done = w.eng.now();
+}
+
+// A drain ends exactly when the sender's last packet toward that peer has
+// arrived. Each drain(0, p) is two RPCs from the service LP, one per
+// endpoint, and every request and reply is one floor hop; peer p never sent
+// anything, so its half is a bare round trip. Two drains from rank 0 run at
+// once toward peers with different last arrivals. A third reaches rank 0 at
+// the very instant a 0-byte packet lands (arrival = now + floor, the same
+// instant as the drain request), which counts as arrived.
+TEST(Fabric, DrainEndsAtEachPeersLastArrival) {
+  World w(4);
+  for (int r = 0; r < 4; ++r) w.fabric.set_receiver(r, [](Packet&) {});
+  const NetConfig& c = w.cfg;
+  const Time hop = c.floor_hop();
+  const auto xfer = [&c](Bytes b) {
+    const double bps =
+        c.link_bandwidth_mbps * static_cast<double>(storage::kMiB);
+    return static_cast<Time>(static_cast<double>(b) / bps *
+                             static_cast<double>(sim::kSecond));
+  };
+  // Rank 0's NIC serializes A (to 1), B (to 2) and C (to 1) from t = 0.
+  const Bytes a = storage::mib(1);
+  const Bytes b = storage::mib(2);
+  const Bytes cb = 4096;
+  const Time done_a = c.per_message_overhead + xfer(a);
+  const Time done_b = done_a + c.per_message_overhead + xfer(b);
+  const Time done_c = done_b + c.per_message_overhead + xfer(cb);
+  const Time last_to_1 = done_c + c.wire_latency;
+  const Time last_to_2 = done_b + c.wire_latency;
+  ASSERT_LT(last_to_2, last_to_1);
+  ASSERT_GT(last_to_2, hop);  // still in flight when the requests land
+
+  w.fabric.transmit(Packet{0, 1, a, PacketKind::kRdmaData, 0, nullptr});
+  w.fabric.transmit(Packet{0, 2, b, PacketKind::kRdmaData, 1, nullptr});
+  w.fabric.transmit(Packet{0, 1, cb, PacketKind::kEager, 2, nullptr});
+
+  // The 0-byte packet leaves an idle NIC at t3, with the third drain.
+  const Time t3 = sim::from_milliseconds(10);
+  ASSERT_GT(t3, last_to_1 + 3 * hop);
+  w.eng.schedule_at(t3, [&w] {
+    w.fabric.transmit(Packet{0, 3, 0, PacketKind::kEager, 3, nullptr});
+  });
+
+  Time drained_1 = -1;
+  Time drained_2 = -1;
+  Time drained_3 = -1;
+  w.eng.spawn(drain_from_zero(w, 1, 0, drained_1));
+  w.eng.spawn(drain_from_zero(w, 2, 0, drained_2));
+  w.eng.spawn(drain_from_zero(w, 3, t3, drained_3));
+  w.eng.run();
+
+  EXPECT_EQ(drained_2, last_to_2 + 3 * hop);
+  EXPECT_EQ(drained_1, last_to_1 + 3 * hop);
+  EXPECT_EQ(drained_3, t3 + 4 * hop);
+}
+
 TEST(Fabric, ControlPlaneNeedsNoConnection) {
   World w(2);
   bool got = false;
-  w.fabric.set_receiver(1, [&](Packet p) {
+  w.fabric.set_receiver(1, [&](Packet& p) {
     got = p.kind == PacketKind::kControl;
   });
   w.fabric.transmit_control(Packet{0, 1, 64, PacketKind::kControl, 0, nullptr});
@@ -240,8 +300,8 @@ TEST(Fabric, ControlPlaneNeedsNoConnection) {
 
 TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
   World w(3);
-  w.fabric.set_receiver(1, [](Packet) {});
-  w.fabric.set_receiver(2, [](Packet) {});
+  w.fabric.set_receiver(1, [](Packet&) {});
+  w.fabric.set_receiver(2, [](Packet&) {});
   w.eng.spawn([](World& w) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
     w.fabric.transmit(Packet{0, 1, 1000, PacketKind::kEager, 0, nullptr});
@@ -261,7 +321,7 @@ TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
 // for every pair that never exchanged data-plane packets.
 TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
   World w(4);
-  for (int r = 0; r < 4; ++r) w.fabric.set_receiver(r, [](Packet) {});
+  for (int r = 0; r < 4; ++r) w.fabric.set_receiver(r, [](Packet&) {});
   w.fabric.transmit(Packet{0, 1, 1000, PacketKind::kEager, 0, nullptr});
   w.fabric.transmit(Packet{0, 1, 500, PacketKind::kRts, 1, nullptr});
   w.fabric.transmit(Packet{1, 0, 200, PacketKind::kCts, 2, nullptr});
@@ -294,7 +354,7 @@ TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
                                             0, 64, 4096, 0}));
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) {
-      EXPECT_EQ(w.fabric.outbound_in_flight(a, b), 0) << a << "->" << b;
+      EXPECT_TRUE(w.fabric.outbound_drained(a, b)) << a << "->" << b;
     }
   }
 }
@@ -304,7 +364,7 @@ TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
 TEST(Fabric, SixteenKEndpointFabricCountsOneSend) {
   constexpr int kN = 16384;
   World w(kN);
-  w.fabric.set_receiver(kN - 1, [](Packet) {});
+  w.fabric.set_receiver(kN - 1, [](Packet&) {});
   w.fabric.transmit(Packet{0, kN - 1, 4096, PacketKind::kEager, 0, nullptr});
   w.eng.run();
   EXPECT_EQ(w.fabric.bytes_between(0, kN - 1), 4096);
@@ -319,7 +379,7 @@ TEST(Fabric, SixteenKEndpointFabricCountsOneSend) {
 TEST(Fabric, PayloadBodyTravelsIntact) {
   World w(2);
   WireBody received;
-  w.fabric.set_receiver(1, [&](Packet p) { received = std::move(p.body); });
+  w.fabric.set_receiver(1, [&](Packet& p) { received = std::move(p.body); });
   WireBody body = WireBody::make<std::vector<int>>(std::vector<int>{1, 2, 3});
   w.eng.spawn([](World& w, WireBody b) -> Task<void> {
     co_await connect(w.fabric, 0, 1);
