@@ -89,14 +89,9 @@ DelayMeasurement measure_effective_delay_with_base(
     const ClusterPreset& preset, const WorkloadFactory& make,
     const ckpt::CkptConfig& ckpt_cfg, sim::Time issuance,
     ckpt::Protocol protocol, double base_seconds) {
-  std::vector<CkptRequest> reqs;
-  reqs.push_back(CkptRequest{issuance, protocol});
-  RunResult with = run_experiment(preset, make, ckpt_cfg, reqs);
-  DelayMeasurement m;
-  m.base_seconds = base_seconds;
-  m.with_ckpt_seconds = with.completion_seconds();
-  if (!with.checkpoints.empty()) m.checkpoint = with.checkpoints.front();
-  return m;
+  const std::vector<CkptRequest> reqs{CkptRequest{issuance, protocol}};
+  return to_delay_measurement(run_experiment(preset, make, ckpt_cfg, reqs),
+                              base_seconds);
 }
 
 }  // namespace gbc::harness

@@ -151,10 +151,8 @@ void RankCtx::record_arrival(std::uint64_t id) {
 }
 
 Request RankCtx::make_request(bool is_recv) {
-  // One arena allocation covers control block + ReqState + its condition
-  // variable; the storage recycles at message rate.
-  auto req = std::allocate_shared<ReqState>(
-      sim::ArenaAlloc<ReqState>(req_arena_), engine());
+  // One allocation covers control block + ReqState + its condition variable.
+  auto req = std::make_shared<ReqState>(engine());
   req->is_recv = is_recv;
   return req;
 }
@@ -506,9 +504,7 @@ void RankCtx::deliver_rts(Envelope env) {
 }
 
 void RankCtx::on_packet(net::Packet& p) {
-  assert(p.kind != net::PacketKind::kControl &&
-         "MiniMPI receives data-plane packets only");
-  assert(!p.body.empty() && "data-plane packet without an envelope");
+  assert(!p.body.empty() && "packet without an envelope");
   // The body is dropped once this returns, so the envelope is moved on
   // wherever it travels further.
   Envelope& env = p.body.get<Envelope>();
@@ -540,8 +536,6 @@ void RankCtx::on_packet(net::Packet& p) {
     case net::PacketKind::kFin:
       complete(unpark(env.send_slot));
       break;
-    case net::PacketKind::kControl:
-      break;  // asserted above
   }
 }
 

@@ -14,7 +14,6 @@
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
 #include "sim/pausable.hpp"
-#include "sim/pool.hpp"
 #include "sim/task.hpp"
 
 namespace gbc::mpi {
@@ -257,10 +256,6 @@ class RankCtx {
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
   std::uint64_t id_counter_ = 0;
-  /// Request records come from a per-rank arena (single-threaded by design,
-  /// so it cannot be shared across shards).
-  std::shared_ptr<sim::ArenaCore> req_arena_ =
-      std::make_shared<sim::ArenaCore>();
   MpiStats stats_;
   // Consistency-analysis records: transmits this rank originated and
   // arrivals here, each with its transfer id. Joined job-wide at read time.

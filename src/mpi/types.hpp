@@ -69,8 +69,8 @@ struct Envelope {
 
 /// Request state shared between the app coroutine and the progress engine.
 /// Requests are created at message rate, so the condition variable is a
-/// direct member (one allocation instead of two) and the whole record is
-/// placed by allocate_shared into the library's request arena.
+/// direct member: make_shared places control block, record and condition
+/// in one allocation.
 struct ReqState {
   explicit ReqState(sim::Engine& eng) : cv(eng) {}
   bool done = false;

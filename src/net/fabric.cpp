@@ -168,14 +168,6 @@ sim::Time Fabric::latency(int src, int dst) const {
 }
 
 void Fabric::transmit(Packet&& p) {
-  enqueue(std::move(p), /*data_plane=*/true);
-}
-
-void Fabric::transmit_control(Packet&& p) {
-  enqueue(std::move(p), /*data_plane=*/false);
-}
-
-void Fabric::enqueue(Packet&& p, bool data_plane) {
   assert(p.src >= 0 && p.src < n_ && p.dst >= 0 && p.dst < n_);
   const int src = p.src;
   const int dst = p.dst;
@@ -185,10 +177,8 @@ void Fabric::enqueue(Packet&& p, bool data_plane) {
   rn.bytes += p.bytes;
   // Sender-side ownership: only src's shard touches src's outbound records.
   RankNet::Outbound& out = rn.out[dst];
-  if (data_plane) {
-    out.bytes += p.bytes;
-    ++out.messages;
-  }
+  out.bytes += p.bytes;
+  ++out.messages;
   // Serialize on the sender NIC.
   const double bps =
       cfg_.link_bandwidth_mbps * static_cast<double>(storage::kMiB);

@@ -62,7 +62,6 @@ enum class PacketKind : std::uint8_t {
   kCts,       // rendezvous clear-to-send
   kRdmaData,  // rendezvous zero-copy bulk data
   kFin,       // rendezvous completion notification
-  kControl,   // checkpoint / connection control
 };
 
 /// Opaque by-value payload carried across shards inside a packet. A
@@ -140,7 +139,7 @@ struct Packet {
   int src = -1;
   int dst = -1;
   Bytes bytes = 0;
-  PacketKind kind = PacketKind::kControl;
+  PacketKind kind = PacketKind::kEager;
   std::uint64_t id = 0;
   /// Opaque payload owned by the MPI layer, carried by value so a flight
   /// can cross shards without touching sender-side pools.
@@ -272,11 +271,6 @@ class Fabric {
   /// Queues a packet on src's NIC (call on src's shard). The MPI layer's
   /// send pump checks the sender-side connection mirror before calling.
   void transmit(Packet&& p);
-
-  /// Control-plane message (coordination): does not require an established
-  /// data connection — the C/R framework exchanges these over a dedicated
-  /// channel. Costs per_message_overhead + wire_latency.
-  void transmit_control(Packet&& p);
 
   /// Sender-side connection mirror check (the pump's fast path). Call on
   /// src's shard.
@@ -449,7 +443,6 @@ class Fabric {
 
   /// src's record for dst, or null if src never transmitted to dst.
   const RankNet::Outbound* outbound(int src, int dst) const;
-  void enqueue(Packet&& p, bool data_plane);
   FlightRec* acquire_rec(int shard);
   void recycle_local(FlightRec* rec, int caller_shard);
   void recycle_remote(FlightRec* rec);

@@ -8,7 +8,6 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/inline_fn.hpp"
-#include "sim/pool.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -87,16 +86,8 @@ class Engine {
 
   // --- used by awaitable primitives ---
   void register_suspension(const std::shared_ptr<SuspendState>& s);
-  /// Allocates a SuspendState from the engine's recycling arena. The arena
-  /// core is kept alive by every control block it produced, so records (and
-  /// the weak_ptrs in suspensions_) may outlive the Engine safely.
   std::shared_ptr<SuspendState> make_suspend_state() {
-    return std::allocate_shared<SuspendState>(
-        ArenaAlloc<SuspendState>(suspend_arena_));
-  }
-  /// Arena backing suspension records; exposed for recycling tests.
-  const std::shared_ptr<ArenaCore>& suspend_arena() const noexcept {
-    return suspend_arena_;
+    return std::make_shared<SuspendState>();
   }
   /// Schedules the resume of a settled suspension at the current time.
   void wake(const std::shared_ptr<SuspendState>& s) { wake_impl(s); }
@@ -143,7 +134,6 @@ class Engine {
   std::vector<InlineFn> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<std::weak_ptr<SuspendState>> suspensions_;
-  std::shared_ptr<ArenaCore> suspend_arena_ = std::make_shared<ArenaCore>();
   std::vector<std::exception_ptr> errors_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -9,15 +9,19 @@
 namespace gbc::sim {
 
 /// Move-only callable with a large inline buffer. The event loop schedules
-/// millions of tiny lambdas (a captured shared_ptr or two, a packet); with
+/// millions of tiny lambdas (a pointer or a shared_ptr or two); with
 /// std::function every one of them heap-allocates, because libstdc++ only
 /// stores trivially-copyable targets locally. InlineFn keeps any callable of
 /// up to kCapacity bytes (and nothrow-move-constructible, so moves stay
 /// noexcept) in the object itself and falls back to the heap beyond that.
 class InlineFn {
  public:
-  /// Sized for the fattest hot-path lambda: fabric delivery captures
-  /// this + Packet (with its shared_ptr body) + a flag, ~64 bytes.
+  /// Holds the common hot-path callables inline: the fabric posts
+  /// one-pointer FlightArrive/FlightDeliver records and an engine wake
+  /// captures one shared_ptr. The largest hot capture does not fit:
+  /// LpBus::send_at's cross-shard wrapper carries the inner InlineFn
+  /// (80 bytes) plus its routing fields, 112 bytes in all, so every
+  /// cross-shard bus send takes the heap path below.
   static constexpr std::size_t kCapacity = 64;
 
   InlineFn() noexcept = default;

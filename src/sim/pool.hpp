@@ -8,16 +8,23 @@
 #include <utility>
 #include <vector>
 
-// Memory pools for the simulation hot path. Every simulated send, buffered
-// message, suspension and coroutine frame used to be a fresh heap allocation;
-// at millions of events per sweep point the allocator dominates. The pools
-// here trade a little slab bookkeeping for steady-state allocation-free
-// operation. All of them are single-threaded by design: a pool belongs to one
-// Engine, and the sweep runner confines each Engine to one worker thread
-// (DESIGN.md §8), so no atomics are needed.
+// The two recyclers on the simulation hot path. Each stays because switching
+// it off made the failure-recovery benchmark slower (EXPERIMENTS.md, "Two
+// recyclers"); suspension and request records, whose size-class arena did
+// not pay, are plain make_shared allocations.
 //
-// Under AddressSanitizer the pools degrade to plain new/delete so recycling
-// cannot mask use-after-free bugs in the code they serve.
+//  - Pool<T>: typed slab allocator, no locking. The fabric keeps one per
+//    shard for its flight records and hands cross-shard releases home
+//    through its own return stacks. With both recyclers off the benchmark's
+//    wall time rose 17%, with FramePool alone off 10%.
+//  - FramePool: thread-local free lists for coroutine frames. In a sharded
+//    run with worker threads, frames allocated on a worker are often freed
+//    on the coordinator thread, so blocks migrate between threads' caches;
+//    a multi-threaded ShardedEngine trims its destroying thread's cache so
+//    that migration cannot pile up.
+//
+// Defining GBC_POOLS_PASSTHROUGH=1 (automatic under AddressSanitizer) turns
+// both into plain new/delete, so recycling cannot mask use-after-free bugs.
 #if defined(__SANITIZE_ADDRESS__)
 #define GBC_POOLS_PASSTHROUGH 1
 #elif defined(__has_feature)
@@ -105,103 +112,13 @@ class Pool {
   std::uint64_t reused_ = 0;
 };
 
-/// Size-class free lists backing ArenaAlloc. Built for std::allocate_shared:
-/// the allocator (holding a shared_ptr to this core) is copied into every
-/// control block it creates, so outstanding shared/weak_ptrs keep the core
-/// alive even after its owning object is destroyed — no destruction-order
-/// hazards between e.g. an Engine's suspension registry and the arena that
-/// allocated the suspension records.
-class ArenaCore {
- public:
-  static constexpr std::size_t kGranularity = 64;
-  static constexpr std::size_t kClasses = 16;  // blocks up to 1 KiB recycled
-
-  ArenaCore() = default;
-  ArenaCore(const ArenaCore&) = delete;
-  ArenaCore& operator=(const ArenaCore&) = delete;
-  ~ArenaCore() {
-    for (void* head : free_) {
-      while (head != nullptr) {
-        void* next = *static_cast<void**>(head);
-        ::operator delete(head);
-        head = next;
-      }
-    }
-  }
-
-  void* allocate(std::size_t bytes) {
-    const std::size_t cls = (bytes + kGranularity - 1) / kGranularity;
-    if (GBC_POOLS_PASSTHROUGH || cls == 0 || cls > kClasses) {
-      return ::operator new(bytes);
-    }
-    void*& head = free_[cls - 1];
-    if (head != nullptr) {
-      void* p = head;
-      head = *static_cast<void**>(p);
-      ++reused_;
-      return p;
-    }
-    return ::operator new(cls * kGranularity);
-  }
-
-  void deallocate(void* p, std::size_t bytes) noexcept {
-    const std::size_t cls = (bytes + kGranularity - 1) / kGranularity;
-    if (GBC_POOLS_PASSTHROUGH || cls == 0 || cls > kClasses) {
-      ::operator delete(p);
-      return;
-    }
-    *static_cast<void**>(p) = free_[cls - 1];
-    free_[cls - 1] = p;
-  }
-
-  /// Allocations served from a free list (recycled storage).
-  std::uint64_t reused() const noexcept { return reused_; }
-
- private:
-  void* free_[kClasses] = {};
-  std::uint64_t reused_ = 0;
-};
-
-/// Allocator adapter over a shared ArenaCore, for std::allocate_shared.
-template <typename T>
-class ArenaAlloc {
- public:
-  using value_type = T;
-
-  explicit ArenaAlloc(std::shared_ptr<ArenaCore> core)
-      : core_(std::move(core)) {}
-  template <typename U>
-  ArenaAlloc(const ArenaAlloc<U>& other) noexcept  // NOLINT: allocator rebind
-      : core_(other.core()) {}
-
-  T* allocate(std::size_t n) {
-    if (n != 1) return static_cast<T*>(::operator new(n * sizeof(T)));
-    return static_cast<T*>(core_->allocate(sizeof(T)));
-  }
-  void deallocate(T* p, std::size_t n) noexcept {
-    if (n != 1) {
-      ::operator delete(p);
-      return;
-    }
-    core_->deallocate(p, sizeof(T));
-  }
-
-  const std::shared_ptr<ArenaCore>& core() const noexcept { return core_; }
-
-  friend bool operator==(const ArenaAlloc& a, const ArenaAlloc& b) noexcept {
-    return a.core_ == b.core_;
-  }
-
- private:
-  std::shared_ptr<ArenaCore> core_;
-};
-
 /// Thread-local size-class recycler for coroutine frames. Frames for
 /// send/recv/wait/pump/checkpoint coroutines are created and destroyed at
 /// event rate; this keeps the storage on a per-thread free list. Blocks come
 /// from plain ::operator new, so a frame freed on a different thread than it
-/// was allocated on (the sweep pool moves engines between workers across
-/// batches, never concurrently) just migrates to that thread's cache.
+/// was allocated on just joins the freeing thread's cache. That happens
+/// whenever a sharded run's worker threads allocate frames the coordinator
+/// thread later frees; trim() is how such a cache gives the blocks back.
 class FramePool {
  public:
   static constexpr std::size_t kGranularity = 64;
@@ -232,11 +149,14 @@ class FramePool {
     head = p;
   }
 
+  /// Frees every block cached on the calling thread.
+  static void trim() noexcept { cache().release(); }
+
  private:
   struct Cache {
     void* free[kClasses] = {};
-    ~Cache() {
-      for (void* head : free) {
+    void release() noexcept {
+      for (void*& head : free) {
         while (head != nullptr) {
           void* next = *static_cast<void**>(head);
           ::operator delete(head);
@@ -244,6 +164,7 @@ class FramePool {
         }
       }
     }
+    ~Cache() { release(); }
   };
   static Cache& cache() {
     static thread_local Cache c;

@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "sim/pool.hpp"
+
 namespace gbc::sim {
 
 /// Shard-private state. Padded so two worker threads never share a line
@@ -70,7 +72,15 @@ ShardedEngine::ShardedEngine(const Options& opts) {
   for (int s = 0; s < S; ++s) shards_.push_back(std::make_unique<Shard>());
 }
 
-ShardedEngine::~ShardedEngine() { stop_pool(); }
+ShardedEngine::~ShardedEngine() {
+  stop_pool();
+  // Frames allocated on the per-run worker threads and freed on this thread
+  // (runnable == 1 rounds, teardown) land in this thread's FramePool cache,
+  // which nothing else empties, so every pass would leave it larger. A
+  // single-threaded engine allocates and frees here alike and keeps its
+  // warm cache.
+  if (threads_ > 1) FramePool::trim();
+}
 
 Engine& ShardedEngine::shard(int s) { return shards_[s]->eng; }
 

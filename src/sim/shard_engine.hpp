@@ -19,7 +19,7 @@ struct ShardStats {
 /// Conservative-lookahead parallel discrete-event engine.
 ///
 /// One simulation is partitioned into S shards, each owning a full serial
-/// Engine — its own event heap, slot arena and memory pools — and the
+/// Engine — its own event heap and callable slots — and the
 /// model's state is partitioned with them (every logical process belongs to
 /// exactly one shard). A cross-shard send is appended to its source shard's
 /// outbox instead of the destination's queue; outboxes are drained at the

@@ -34,10 +34,8 @@ void ErasureTier::validate(const ErasureConfig& cfg, int nnodes) {
   }
 }
 
-ErasureTier::ErasureTier(sim::Engine& eng, ErasureConfig cfg, int nnodes,
-                         int replica_offset)
+ErasureTier::ErasureTier(ErasureConfig cfg, int nnodes, int replica_offset)
     : cfg_(cfg), nnodes_(nnodes), replica_offset_(replica_offset) {
-  (void)eng;
   validate(cfg_, nnodes_);
   stats_.resize(static_cast<std::size_t>(nnodes_));
 }

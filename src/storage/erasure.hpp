@@ -85,10 +85,12 @@ class ErasureTier {
                                                   Bytes bytes)>;
 
   /// Throws std::invalid_argument on an unusable config (validate()).
-  /// `eng` is unused since the partitioning (every operation takes the
-  /// caller's engine); kept so existing construction sites stay valid.
-  ErasureTier(sim::Engine& eng, ErasureConfig cfg, int nnodes,
-              int replica_offset);
+  ErasureTier(ErasureConfig cfg, int nnodes, int replica_offset);
+  /// The former signature, whose engine was never used. perfbench's
+  /// fault-plan generator still builds a tier this way; remove this
+  /// overload together with that call site.
+  ErasureTier(sim::Engine&, ErasureConfig cfg, int nnodes, int replica_offset)
+      : ErasureTier(cfg, nnodes, replica_offset) {}
 
   /// Config sanity: k >= 1, m >= 0, stride >= 1, k+m <= 256 (GF(256)
   /// symbol limit), XOR only for m == 1, and k+m <= nnodes-1 so a parity

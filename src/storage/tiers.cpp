@@ -12,7 +12,7 @@ TieredStore::TieredStore(sim::Engine& eng, StorageSystem& pfs, TierConfig cfg,
   // pause/resume wakeups stay shard-local.
   for (int i = 0; i < nnodes; ++i) nodes_.emplace_back(engine_of(i));
   if (cfg_.enabled && cfg_.erasure.enabled) {
-    erasure_ = std::make_unique<ErasureTier>(eng_, cfg_.erasure, nnodes,
+    erasure_ = std::make_unique<ErasureTier>(cfg_.erasure, nnodes,
                                              cfg_.replica_offset);
   }
 }

@@ -45,9 +45,7 @@ WorkloadFactory microbench_factory(std::uint64_t iters) {
 /// The victim's chunk holders, recomputed with the real placement policy so
 /// the fault plan provably hits nodes that hold stripe chunks.
 std::vector<int> victim_group(const ClusterPreset& p) {
-  sim::Engine eng;
-  storage::ErasureTier tier(eng, p.tier.erasure, p.nranks,
-                            p.tier.replica_offset);
+  storage::ErasureTier tier(p.tier.erasure, p.nranks, p.tier.replica_offset);
   return tier.parity_group(kVictim);
 }
 

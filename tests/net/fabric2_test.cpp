@@ -118,13 +118,10 @@ TEST(Fabric2, PacketCountAndByteAccounting) {
     co_await connect(w.fabric, 0, 2);
     w.fabric.transmit(Packet{0, 1, 100, PacketKind::kEager, 0, nullptr});
     w.fabric.transmit(Packet{0, 2, 200, PacketKind::kEager, 1, nullptr});
-    w.fabric.transmit_control(Packet{0, 1, 50, PacketKind::kControl, 2,
-                              nullptr});
   }(w));
   w.eng.run();
-  EXPECT_EQ(w.fabric.packets_sent(), 3);
-  EXPECT_EQ(w.fabric.bytes_sent(), 350);
-  EXPECT_EQ(w.fabric.messages_between(0, 1), 1);  // control not counted
+  EXPECT_EQ(w.fabric.packets_sent(), 2);
+  EXPECT_EQ(w.fabric.bytes_sent(), 300);
 }
 
 TEST(Fabric2, ManyPairsEstablishIndependently) {

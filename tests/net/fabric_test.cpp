@@ -287,17 +287,6 @@ TEST(Fabric, DrainEndsAtEachPeersLastArrival) {
   EXPECT_EQ(drained_3, t3 + 4 * hop);
 }
 
-TEST(Fabric, ControlPlaneNeedsNoConnection) {
-  World w(2);
-  bool got = false;
-  w.fabric.set_receiver(1, [&](Packet& p) {
-    got = p.kind == PacketKind::kControl;
-  });
-  w.fabric.transmit_control(Packet{0, 1, 64, PacketKind::kControl, 0, nullptr});
-  w.eng.run();
-  EXPECT_TRUE(got);
-}
-
 TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
   World w(3);
   w.fabric.set_receiver(1, [](Packet&) {});
@@ -306,14 +295,11 @@ TEST(Fabric, TrafficMatrixIsSymmetricAndCountsDataPlaneOnly) {
     co_await connect(w.fabric, 0, 1);
     w.fabric.transmit(Packet{0, 1, 1000, PacketKind::kEager, 0, nullptr});
     w.fabric.transmit(Packet{0, 1, 500, PacketKind::kEager, 1, nullptr});
-    w.fabric.transmit_control(Packet{0, 2, 64, PacketKind::kControl, 2,
-                              nullptr});
   }(w));
   w.eng.run();
   EXPECT_EQ(w.fabric.bytes_between(0, 1), 1500);
   EXPECT_EQ(w.fabric.bytes_between(1, 0), 1500);
   EXPECT_EQ(w.fabric.messages_between(0, 1), 2);
-  EXPECT_EQ(w.fabric.bytes_between(0, 2), 0);  // control not counted
 }
 
 // Per-pair accounting lives in each sender's sparse per-peer records; the
@@ -327,8 +313,6 @@ TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
   w.fabric.transmit(Packet{1, 0, 200, PacketKind::kCts, 2, nullptr});
   w.fabric.transmit(Packet{2, 3, 4096, PacketKind::kRdmaData, 3, nullptr});
   w.fabric.transmit(Packet{3, 1, 64, PacketKind::kFin, 4, nullptr});
-  w.fabric.transmit_control(Packet{0, 2, 64, PacketKind::kControl, 5,
-                                   nullptr});
   w.eng.run();
 
   EXPECT_EQ(w.fabric.bytes_between(0, 1), 1700);
@@ -338,8 +322,6 @@ TEST(Fabric, PerPeerTrafficMatchesFixedSendPattern) {
   EXPECT_EQ(w.fabric.messages_between(3, 2), 1);
   EXPECT_EQ(w.fabric.bytes_between(1, 3), 64);
   EXPECT_EQ(w.fabric.messages_between(1, 3), 1);
-  EXPECT_EQ(w.fabric.bytes_between(0, 2), 0);  // control only
-  EXPECT_EQ(w.fabric.messages_between(0, 2), 0);
   EXPECT_EQ(w.fabric.bytes_between(0, 3), 0);  // never talked
   EXPECT_EQ(w.fabric.messages_between(0, 3), 0);
 

@@ -258,21 +258,5 @@ TEST(EngineWheel, DelayChainAcrossWheelLevels) {
   }
 }
 
-#if !GBC_POOLS_PASSTHROUGH
-// Suspension records (delay/condition waits) must recycle through the
-// engine's arena instead of hitting the heap per wake. Storage is only
-// reclaimed when the engine's lazy weak_ptr prune (every >=256
-// registrations) releases the dead control blocks, so run well past one
-// prune interval.
-TEST(EngineWheel, SuspendStateRecordsRecycle) {
-  Engine eng;
-  eng.spawn([](Engine& e) -> Task<void> {
-    for (int i = 0; i < 1000; ++i) co_await e.delay(1);
-  }(eng));
-  eng.run();
-  EXPECT_GT(eng.suspend_arena()->reused(), 0u);
-}
-#endif
-
 }  // namespace
 }  // namespace gbc::sim

@@ -32,32 +32,30 @@ ErasureConfig rs42() {
 }
 
 TEST(ErasureValidate, RejectsUnusableConfigs) {
-  Engine eng;
   auto bad_k = rs42();
   bad_k.k = 0;
-  EXPECT_THROW(ErasureTier(eng, bad_k, 16, 1), std::invalid_argument);
+  EXPECT_THROW(ErasureTier(bad_k, 16, 1), std::invalid_argument);
   auto bad_m = rs42();
   bad_m.m = -1;
-  EXPECT_THROW(ErasureTier(eng, bad_m, 16, 1), std::invalid_argument);
+  EXPECT_THROW(ErasureTier(bad_m, 16, 1), std::invalid_argument);
   auto bad_stride = rs42();
   bad_stride.group_stride = 0;
-  EXPECT_THROW(ErasureTier(eng, bad_stride, 16, 1), std::invalid_argument);
+  EXPECT_THROW(ErasureTier(bad_stride, 16, 1), std::invalid_argument);
   auto bad_xor = rs42();
   bad_xor.codec = ErasureCodec::kXor;  // m == 2: xor cannot cover it
-  EXPECT_THROW(ErasureTier(eng, bad_xor, 16, 1), std::invalid_argument);
+  EXPECT_THROW(ErasureTier(bad_xor, 16, 1), std::invalid_argument);
   auto too_wide = rs42();
   too_wide.k = 200;
   too_wide.m = 100;  // k+m > 256 GF symbols
-  EXPECT_THROW(ErasureTier(eng, too_wide, 512, 1), std::invalid_argument);
+  EXPECT_THROW(ErasureTier(too_wide, 512, 1), std::invalid_argument);
   // k+m = 6 needs 7 nodes (home node excluded): 6 nodes must be rejected,
   // 7 accepted.
-  EXPECT_THROW(ErasureTier(eng, rs42(), 6, 1), std::invalid_argument);
-  EXPECT_NO_THROW(ErasureTier(eng, rs42(), 7, 1));
+  EXPECT_THROW(ErasureTier(rs42(), 6, 1), std::invalid_argument);
+  EXPECT_NO_THROW(ErasureTier(rs42(), 7, 1));
 }
 
 TEST(ErasurePlacement, GroupExcludesHomeNodeAndReplicaPartner) {
-  Engine eng;
-  ErasureTier tier(eng, rs42(), 16, /*replica_offset=*/1);
+  ErasureTier tier(rs42(), 16, /*replica_offset=*/1);
   for (int node = 0; node < 16; ++node) {
     const auto group = tier.parity_group(node);
     ASSERT_EQ(group.size(), 6u) << "node " << node;
@@ -74,27 +72,25 @@ TEST(ErasurePlacement, GroupExcludesHomeNodeAndReplicaPartner) {
 }
 
 TEST(ErasurePlacement, PartnerAdmittedOnlyWhenClusterTooSmall) {
-  Engine eng;
   // 7 nodes, k+m = 6: the group needs every node but the home one, so the
   // partner must be admitted (second pass).
-  ErasureTier tight(eng, rs42(), 7, 1);
+  ErasureTier tight(rs42(), 7, 1);
   const auto group = tight.parity_group(0);
   ASSERT_EQ(group.size(), 6u);
   EXPECT_NE(std::find(group.begin(), group.end(), 1), group.end());
   // 8 nodes: one node of slack — the partner is skipped again.
-  ErasureTier loose(eng, rs42(), 8, 1);
+  ErasureTier loose(rs42(), 8, 1);
   const auto group8 = loose.parity_group(0);
   ASSERT_EQ(group8.size(), 6u);
   EXPECT_EQ(std::find(group8.begin(), group8.end(), 1), group8.end());
 }
 
 TEST(ErasurePlacement, NonCoprimeStrideStillFillsTheGroup) {
-  Engine eng;
   auto cfg = rs42();
   cfg.group_stride = 4;  // gcd(4, 16) = 4: the stride ring alone only
                          // reaches 3 other nodes; the linear sweep must
                          // supply the rest.
-  ErasureTier tier(eng, cfg, 16, 1);
+  ErasureTier tier(cfg, 16, 1);
   const auto group = tier.parity_group(0);
   ASSERT_EQ(group.size(), 6u);
   const std::set<int> uniq(group.begin(), group.end());
@@ -134,7 +130,7 @@ TEST(ErasureCost, DecodeFreeWithoutDataErasuresPricedDegraded) {
 
 TEST(ErasureProtect, ScattersOneChunkToEachGroupMember) {
   Engine eng;
-  ErasureTier tier(eng, rs42(), 16, 1);
+  ErasureTier tier(rs42(), 16, 1);
   ErasureChunks ec;
   std::vector<std::pair<int, int>> sends;  // (src, dst)
   Bytes sent_bytes = 0;
