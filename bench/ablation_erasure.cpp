@@ -51,9 +51,7 @@ harness::ClusterPreset geometry_preset(const Geometry& g) {
 /// recomputed with the placement policy itself so the fault plan always
 /// hits real chunk holders.
 std::vector<int> victim_group(const harness::ClusterPreset& p) {
-  sim::Engine eng;
-  storage::ErasureTier tier(eng, p.tier.erasure, p.nranks,
-                            p.tier.replica_offset);
+  storage::ErasureTier tier(p.tier.erasure, p.nranks, p.tier.replica_offset);
   return tier.parity_group(kVictim);
 }
 

@@ -9,9 +9,12 @@
 #   - cmp's every CSV of the two builds;
 #   - diffs the stdout of fig2_schedule_trace and ablation_recovery (they
 #     write no CSV), with [sweep] telemetry and host-time lines dropped;
-#   - prints each build's figure-suite wall time.
+#   - prints each build's figure-suite wall time;
+#   - runs `gbcsim run` on both builds at 1024 ranks (serial, and at
+#     4 shards x 4 threads) and at 4096 ranks (4 x 4, groups of 512), and
+#     prints and compares each run's state digest (~30 s in all).
 # Exits 0 when every output matches, 1 on any difference, missing file or
-# failed driver, 2 on bad arguments.
+# failed run, 2 on bad arguments.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -94,6 +97,31 @@ for d in fig2_schedule_trace ablation_recovery; do
     echo "$d stdout identical"
   else
     fail "$d stdout differs (see $work/$d.diff)"
+  fi
+done
+
+# digest <build> <gbcsim run args...>: prints the run's state digest, or
+# nothing when the run fails. Its CSV goes under work-dir.
+digest() {
+  local build=$1
+  shift
+  GBC_BENCH_OUT="$work/gbcsim" "$build/src/tools/gbcsim" run "$@" 2> /dev/null |
+    awk -F': *' '/^state digest/ { print $2 }' || true
+}
+digest_runs=(
+  "--ranks 1024"
+  "--ranks 1024 --shards 4 --threads 4"
+  "--ranks 4096 --shards 4 --threads 4 --group-size 512"
+)
+for args in "${digest_runs[@]}"; do
+  read -ra argv <<< "$args"
+  a=$(digest "$parent" "${argv[@]}")
+  b=$(digest "$change" "${argv[@]}")
+  echo "gbcsim run $args: state digest ${a:-FAILED} (parent), ${b:-FAILED} (change)"
+  if [[ -z "$a" || -z "$b" ]]; then
+    fail "gbcsim run $args failed"
+  elif [[ "$a" != "$b" ]]; then
+    fail "gbcsim run $args state digest differs"
   fi
 done
 

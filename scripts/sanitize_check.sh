@@ -7,9 +7,10 @@
 # A second stage rebuilds under TSan and runs the tests that actually cross
 # threads: the sweep pool (label `sweep`), the staging-tier suites
 # (label `storage`, swept 8-wide by the fig8 determinism check), the
-# sharded DES (label `shard`: per-shard outboxes under the round barrier,
-# thread budget and its sweep x shards composition, the 4k-rank
-# `gbcsim run` smoke and the group-size study's shard determinism), the
+# sharded DES (label `shard`: the bus's per-shard outboxes and the round
+# barrier exchange, the warm-wave allocation count, thread budget and its
+# sweep x shards composition, the 4k-rank `gbcsim run` smoke and the
+# group-size study's shard determinism), the
 # full protocol stack under per-rank LP sharding (label `fullshard`:
 # `gbcsim run --shards 4` byte-identity plus the multi-threaded SimCluster
 # integration suite), the erasure tier

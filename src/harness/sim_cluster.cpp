@@ -39,11 +39,10 @@ SimCluster::SimCluster(const ClusterPreset& preset,
       mpi_(eng_, fabric_, preset_.mpi),
       ckpt_(mpi_, fs_, ckpt_cfg) {
   if (preset_.tier.enabled && opts.attach_tier) {
-    tier_.emplace(eng_, fs_, preset_.tier, preset_.nranks, &bus_);
-    tier_->set_replica_transport(
-        [this](int src, int dst, storage::Bytes b) {
-          return fabric_.bulk_transfer(src, dst, b);
-        });
+    tier_.emplace(fs_, preset_.tier, preset_.nranks, bus_,
+                  [this](int src, int dst, storage::Bytes b) {
+                    return fabric_.bulk_transfer(src, dst, b);
+                  });
     tier_->set_trace(opts.trace);
     ckpt_.set_tier(&*tier_);
   }

@@ -193,26 +193,13 @@ void Fabric::transmit(Packet&& p) {
   const int home = bus_.shard_of(src);
   FlightRec* rec = acquire_rec(home);
   rec->pkt = std::move(p);
-  rec->oseq = bus_.next_oseq(src);
   rec->fab = this;
   rec->home_shard = home;
   // arrival >= now + per_message_overhead + minimum latency = now + floor,
-  // so this respects the lookahead floor at any shard layout.
-  if (bus_.shard_of(dst) == home) {
-    // Same-shard fast path: the delivery goes straight into the
-    // destination's settle bucket at the arrival time — no FlightArrive
-    // wrapper event, and the record never leaves its home pool's shard.
-    bus_.inbox_push_at(dst, src, rec->oseq, arrival, FlightDeliver{rec});
-  } else {
-    bus_.post_raw(src, dst, arrival, FlightArrive{rec});
-  }
-}
-
-void Fabric::FlightArrive::operator()() {
-  FlightRec* r = std::exchange(rec, nullptr);
-  // Runs on the destination's shard at the arrival time: enter the inbox so
-  // same-instant arrivals deliver in canonical (origin, oseq) order.
-  r->fab->bus_.inbox_push(r->pkt.dst, r->pkt.src, r->oseq, FlightDeliver{r});
+  // so send_at's floor clamp never moves a flight.
+  assert(arrival >= src_eng.now() + bus_.floor() &&
+         "wire flight inside the bus floor");
+  bus_.send_at(src, dst, arrival, FlightDeliver{rec});
 }
 
 void Fabric::FlightDeliver::operator()() {

@@ -237,13 +237,13 @@ class ConnectionManager {
 /// Every piece of mutable per-rank state — the NIC busy horizon, the
 /// per-peer outbound records (last arrival instant and traffic sent), the
 /// connection mirrors — is owned by the rank's home shard; transmit() must
-/// run there. A packet is moved once, into a pooled FlightRec posted
-/// straight to the destination rank's shard, where delivery goes through
-/// the LpBus inbox so the order among same-instant arrivals is canonical at
-/// any shard count; the receiver handles it in place. Each packet costs one
-/// bus delivery: nothing runs on the sender's side when it lands. Records
-/// recycle to their home shard's pool over a lock-free return stack,
-/// keeping the hot path allocation-free in sharded runs too.
+/// run there. A packet is moved once, into a pooled FlightRec that rides
+/// one ordinary LpBus send to the destination rank's settle bucket, so the
+/// order among same-instant arrivals is canonical at any shard count; the
+/// receiver handles it in place. Each packet costs one bus delivery: nothing
+/// runs on the sender's side when it lands. Records recycle to their home
+/// shard's pool over a lock-free return stack, keeping the hot path
+/// allocation-free in sharded runs too.
 class Fabric {
  public:
   /// Receiver callback: handles the packet in place inside its flight
@@ -334,10 +334,9 @@ class Fabric {
  private:
   friend class ConnectionManager;
 
-  /// One pooled wire flight: the packet plus its canonical inbox key.
+  /// One pooled wire flight: the packet and its way home.
   struct FlightRec {
     Packet pkt;
-    std::uint64_t oseq = 0;
     Fabric* fab = nullptr;
     int home_shard = 0;
     FlightRec* free_next = nullptr;
@@ -359,17 +358,6 @@ class Fabric {
     }
   };
 
-  struct FlightArrive {
-    FlightRec* rec;
-    explicit FlightArrive(FlightRec* r) noexcept : rec(r) {}
-    FlightArrive(FlightArrive&& o) noexcept
-        : rec(std::exchange(o.rec, nullptr)) {}
-    FlightArrive& operator=(FlightArrive&&) = delete;
-    ~FlightArrive() {
-      if (rec) rec->fab->recycle_remote(rec);
-    }
-    void operator()();
-  };
   /// Hands rec->pkt to the receiver by reference, then drops the body and
   /// recycles the record. rec is cleared only after delivery, so the
   /// destructor still recycles it if the receiver throws.

@@ -16,12 +16,11 @@ namespace gbc::sim {
 /// noexcept) in the object itself and falls back to the heap beyond that.
 class InlineFn {
  public:
-  /// Holds the common hot-path callables inline: the fabric posts
-  /// one-pointer FlightArrive/FlightDeliver records and an engine wake
-  /// captures one shared_ptr. The largest hot capture does not fit:
-  /// LpBus::send_at's cross-shard wrapper carries the inner InlineFn
-  /// (80 bytes) plus its routing fields, 112 bytes in all, so every
-  /// cross-shard bus send takes the heap path below.
+  /// Holds the common hot-path callables inline: the fabric sends a
+  /// one-pointer FlightDeliver record, an engine wake captures one
+  /// shared_ptr, and bus messages capture a few pointers. A bus send stores
+  /// its InlineFn by value in a settle bucket or outbox entry and never
+  /// wraps it, so no hot path nests one InlineFn inside another.
   static constexpr std::size_t kCapacity = 64;
 
   InlineFn() noexcept = default;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -33,42 +34,57 @@ constexpr int lp_owner_shard(int lp, int nlps, int shards) {
 ///
 /// ## Determinism: the settle-sweep discipline
 ///
-/// Cross-shard merge order at equal timestamps is (t, src_shard, seq),
-/// which is not shard-count-invariant. The bus therefore never hands a
-/// message straight to model code: every delivery lands in its destination
-/// shard's *settle bucket* for the delivery time, and one back-band sweep
-/// event per (shard, t) — scheduled after every normal event at t
-/// (Engine::schedule_at_back) — sorts the bucket by (dst LP, origin LP,
-/// per-origin sequence) and runs it. The key depends only on the model,
-/// never on the shard layout, so the delivery order each LP observes is
-/// canonical at any shard/thread count.
+/// The bus never hands a message straight to model code: every delivery
+/// lands in its destination shard's *settle bucket* for the delivery time,
+/// and one back-band sweep event per (shard, t) — scheduled after every
+/// normal event at t (Engine::schedule_at_back) — sorts the bucket by
+/// (dst LP, origin LP, per-origin sequence) and runs it. The key depends
+/// only on the model, never on the shard layout, so the delivery order each
+/// LP observes is canonical at any shard/thread count, and the order in
+/// which entries reach a bucket does not matter.
 ///
-/// Two paths feed a bucket:
-///  - *Same-shard fast path*: the sender pushes the entry straight into the
-///    bucket at send time — no wrapper event, no cross-shard post. Because
-///    every message carries latency >= floor() > 0, the entry is in place
-///    strictly before its delivery time executes.
-///  - *Cross-shard path*: a wrapper posted through ShardedEngine runs as a
-///    normal event at the delivery time and pushes the entry then; the
-///    back-band sweep at the same t runs after it by construction.
+/// The bus is the one owner of cross-shard traffic. A send to an LP on the
+/// sender's own shard goes straight into the bucket at send time; one to
+/// another shard is staged in the sending shard's outbox, and at the next
+/// round barrier ShardedEngine calls exchange(), which moves every staged
+/// entry into its destination's bucket. Either way the entry is in place
+/// strictly before its delivery time executes: every message carries
+/// latency >= floor() > 0, and a cross-shard delivery lies at or past its
+/// destination's horizon.
 ///
 /// Handlers run inside the sweep only touch their own LP's state (the LP
 /// discipline), so the interleaving of *different* LPs' handlers at one
 /// (shard, t) — the only thing the layout can change — is unobservable.
-/// With one shard every send takes the fast path, so serial and sharded
-/// runs deliver in the same canonical order.
+/// With one shard every send stays on its shard, so serial and sharded runs
+/// deliver in the same canonical order.
 class LpBus {
  public:
-  /// Rank LPs in contiguous blocks across se.shards().
+  /// Rank LPs in contiguous blocks across se.shards(). Registers the bus
+  /// with `se`, which calls it at every round barrier. With more than one
+  /// shard the floor must cover the engine's lookahead (the conservative
+  /// horizons assume every cross-shard message takes at least that long);
+  /// throws std::invalid_argument otherwise.
   LpBus(ShardedEngine& se, int nranks, Time floor)
       : se_(se),
         nranks_(nranks),
         floor_(floor),
         shards_(static_cast<std::size_t>(se.shards())),
+        owner_(static_cast<std::size_t>(nranks) + 1, 0),
         oseq_(static_cast<std::size_t>(nranks) + 1),
         delivered_(static_cast<std::size_t>(nranks) + 1, 0) {
     assert(floor_ > 0 && "LpBus floor must be positive");
+    if (se.shards() > 1 && floor_ < se.lookahead_) {
+      throw std::invalid_argument(
+          "LpBus: the floor must be >= the engine's lookahead");
+    }
+    for (int lp = 0; lp < nranks; ++lp) {
+      owner_[static_cast<std::size_t>(lp)] =
+          lp_owner_shard(lp, nranks, se.shards());
+    }
+    assert(se.bus_ == nullptr && "one LpBus per ShardedEngine");
+    se.bus_ = this;
   }
+  ~LpBus() { se_.bus_ = nullptr; }
 
   LpBus(const LpBus&) = delete;
   LpBus& operator=(const LpBus&) = delete;
@@ -84,8 +100,10 @@ class LpBus {
 
   int shards() const noexcept { return se_.shards(); }
 
+  /// Owner shard of `lp`; the service LP lives on shard 0.
   int shard_of(int lp) const {
-    return lp >= nranks_ ? 0 : lp_owner_shard(lp, nranks_, se_.shards());
+    const auto i = static_cast<std::size_t>(lp);
+    return i < owner_.size() ? owner_[i] : 0;
   }
 
   /// Lowest rank LP owned by shard `s` (the inverse of lp_owner_shard for
@@ -99,30 +117,6 @@ class LpBus {
 
   Engine& engine_of(int lp) { return se_.shard(shard_of(lp)); }
 
-  /// Next canonical sequence number for messages originated by `origin`.
-  /// Must be called on origin's shard; assignment order equals origin's
-  /// execution order, which is shard-count-invariant.
-  std::uint64_t next_oseq(int origin) { return ++oseq_[origin].v; }
-
-  /// Appends a delivery for `dst_lp` to its shard's settle bucket at
-  /// absolute time t. Callable from any LP on dst's shard (the same-shard
-  /// fast path calls it at send time with a future t; cross-shard wrappers
-  /// call it at the delivery time via inbox_push). The first entry for a
-  /// (shard, t) schedules that shard's back-band sweep.
-  void inbox_push_at(int dst_lp, int origin, std::uint64_t oseq, Time t,
-                     InlineFn fn) {
-    bucket_at(shard_of(dst_lp), t)
-        .entries.push_back(Entry{dst_lp, origin, oseq, std::move(fn)});
-  }
-
-  /// Appends to dst's settle bucket at the current time. Must run on dst's
-  /// shard at the delivery time; this is the zero-allocation entry the
-  /// fabric's cross-shard flight wrappers use.
-  void inbox_push(int dst_lp, int origin, std::uint64_t oseq, InlineFn fn) {
-    inbox_push_at(dst_lp, origin, oseq, engine_of(dst_lp).now(),
-                  std::move(fn));
-  }
-
   /// Runs `fn` in lp's shard's settle sweep at time t, *before* the sorted
   /// deliveries, in push order. No origin sequencing: only for callbacks
   /// that touch lp's own state and need no canonical order against other
@@ -134,30 +128,19 @@ class LpBus {
     bucket_at(shard_of(lp), t).pre.push_back(Pre{lp, std::move(fn)});
   }
 
-  /// Raw cross-shard dispatch at absolute time t, bypassing the settle
-  /// buckets (no origin sequencing). Only for callers that do their own
-  /// canonical ordering at the destination — the fabric's pooled flight
-  /// path, whose wrapper pushes into the bucket itself on arrival. `t` must
-  /// respect the floor.
-  void post_raw(int src_lp, int dst_lp, Time t, InlineFn fn) {
-    se_.post(shard_of(src_lp), shard_of(dst_lp), t, std::move(fn));
-  }
-
   /// Delivers `fn` into dst's settle bucket at absolute time t, clamped up
   /// to src-now + floor(). Call from code running on src's shard.
   void send_at(int src_lp, int dst_lp, Time t, InlineFn fn) {
-    Engine& src_eng = engine_of(src_lp);
-    const Time t_eff = std::max(t, src_eng.now() + floor_);
-    const std::uint64_t oseq = next_oseq(src_lp);
     const int ss = shard_of(src_lp);
     const int ds = shard_of(dst_lp);
+    const Time t_eff = std::max(t, se_.shard(ss).now() + floor_);
+    const std::uint64_t oseq = next_oseq(src_lp);
     if (ss == ds) {
-      inbox_push_at(dst_lp, src_lp, oseq, t_eff, std::move(fn));
+      bucket_at(ds, t_eff).entries.emplace_back(dst_lp, src_lp, oseq,
+                                                std::move(fn));
     } else {
-      se_.post(ss, ds, t_eff,
-               [this, dst_lp, src_lp, oseq, fn = std::move(fn)]() mutable {
-                 inbox_push(dst_lp, src_lp, oseq, std::move(fn));
-               });
+      shards_[ss].out.push_back(
+          Staged{t_eff, ds, {dst_lp, src_lp, oseq, std::move(fn)}});
     }
   }
 
@@ -193,22 +176,33 @@ class LpBus {
     return sum;
   }
 
-  /// Drops every queued settle bucket (teardown of an aborted run): entry
-  /// destructors run, releasing pooled resources they hold. The engines'
-  /// pending sweep events are dropped by abort_all alongside.
+  /// Drops every staged cross-shard send and every queued settle bucket
+  /// (teardown of an aborted run): entry destructors run, releasing pooled
+  /// resources they hold. The engines' pending sweep events are dropped by
+  /// ShardedEngine::abort_all alongside.
   void clear() {
     for (ShardState& st : shards_) {
+      st.out.clear();
       st.buckets.clear();
       st.pool.clear();
     }
   }
 
  private:
+  friend class ShardedEngine;
+
   struct Entry {
     int dst;
     int origin;
     std::uint64_t oseq;
     InlineFn fn;
+  };
+  /// A cross-shard send waiting in its source shard's outbox for the next
+  /// round barrier.
+  struct Staged {
+    Time t;
+    int shard;  // the destination LP's shard
+    Entry entry;
   };
   struct Pre {
     int lp;
@@ -223,6 +217,10 @@ class LpBus {
   struct alignas(64) ShardState {
     std::vector<Bucket> buckets;  // ascending t
     std::vector<Bucket> pool;     // recycled buckets (vectors keep capacity)
+    /// Cross-shard sends made by this shard since the last barrier. Only
+    /// the shard's running thread appends; the coordinator empties it in
+    /// exchange(), after the pool mutex has parked every producer.
+    std::vector<Staged> out;
   };
   struct RpcWait {
     explicit RpcWait(Engine& eng) : cv(eng) {}
@@ -232,6 +230,29 @@ class LpBus {
   struct alignas(64) OriginSeq {
     std::uint64_t v = 0;
   };
+
+  /// Next canonical sequence number for messages originated by `origin`.
+  /// Called on origin's shard; assignment order equals origin's execution
+  /// order, which is shard-count-invariant.
+  std::uint64_t next_oseq(int origin) { return ++oseq_[origin].v; }
+
+  /// Round-barrier exchange, called by ShardedEngine with every shard
+  /// parked: moves each outbox's entries straight into their destination's
+  /// settle bucket. No sort: the sweep's (dst, origin, oseq) order makes
+  /// arrival order irrelevant. Returns the number of messages moved.
+  std::size_t exchange() {
+    std::size_t moved = 0;
+    for (ShardState& src : shards_) {
+      for (Staged& st : src.out) {
+        assert(st.t > se_.shard(st.shard).now() &&
+               "cross-shard delivery outside its destination's future");
+        bucket_at(st.shard, st.t).entries.push_back(std::move(st.entry));
+      }
+      moved += src.out.size();
+      src.out.clear();
+    }
+    return moved;
+  }
 
   /// The settle bucket for (shard, t), creating it — and scheduling the
   /// shard's back-band sweep at t — on first touch. Buckets are kept
@@ -268,8 +289,8 @@ class LpBus {
 
   /// The per-(shard, t) settle sweep: runs the pre-lane in push order, then
   /// sorts the deliveries by the canonical (dst LP, origin, oseq) key and
-  /// runs them. Runs back-band, after every normal event at t, so all
-  /// same-instant arrivals are already in.
+  /// runs them. Runs back-band, after every normal event at t; every
+  /// delivery for t was in the bucket before the instant began.
   void sweep(int shard) {
     ShardState& st = shards_[shard];
     Engine& eng = se_.shard(shard);
@@ -303,6 +324,9 @@ class LpBus {
   int nranks_;
   Time floor_;
   std::vector<ShardState> shards_;
+  /// lp_owner_shard of each LP, the service LP last: shard_of runs twice
+  /// per message, and a load is cheaper than the 64-bit division.
+  std::vector<int> owner_;
   std::vector<OriginSeq> oseq_;
   std::vector<std::uint64_t> delivered_;
 };

@@ -4,27 +4,14 @@
 #include <cassert>
 #include <condition_variable>
 #include <exception>
-#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
+#include "sim/lp_bus.hpp"
 #include "sim/pool.hpp"
 
 namespace gbc::sim {
-
-/// Shard-private state. Padded so two worker threads never share a line
-/// through the hot seq counter / outbox.
-struct alignas(64) ShardedEngine::Shard {
-  Engine eng;
-  /// Cross-shard posts made since the last barrier, in post (seq) order.
-  /// Only this shard's running thread appends; the coordinator drains it at
-  /// the barrier, after the pool mutex has parked every producer.
-  std::vector<Staged> out;
-  std::uint64_t next_seq = 0;
-  ShardStats stats;
-  std::exception_ptr error;
-};
 
 namespace {
 
@@ -40,11 +27,11 @@ Time sat_add(Time a, Time b) noexcept {
 /// Generation-counted round barrier: the coordinator publishes per-shard
 /// horizons (ends_), workers run their statically-assigned runnable shards
 /// (shard s belongs to worker s % threads), and the coordinator waits for
-/// all of them before merging outboxes. The mutex hand-off orders every
-/// shard's appends to its outbox before the coordinator's drain, and every
-/// drain-time injection before the next round's execution, so the outboxes
-/// need no atomics; the same hand-off lets a `runnable == 1` round run a
-/// shard inline on the coordinator between pooled rounds.
+/// all of them before the bus's exchange. The mutex hand-off orders every
+/// shard's appends to the bus's outboxes before the coordinator's exchange,
+/// and every exchanged delivery before the next round's execution, so the
+/// outboxes need no atomics; the same hand-off lets a `runnable == 1` round
+/// run a shard inline on the coordinator between pooled rounds.
 struct ShardedEngine::Pool {
   std::mutex m;
   std::condition_variable start_cv;
@@ -82,55 +69,6 @@ ShardedEngine::~ShardedEngine() {
   if (threads_ > 1) FramePool::trim();
 }
 
-Engine& ShardedEngine::shard(int s) { return shards_[s]->eng; }
-
-const ShardStats& ShardedEngine::stats(int s) const {
-  return shards_[s]->stats;
-}
-
-void ShardedEngine::post(int src, int dst, Time t, InlineFn fn) {
-  assert(src >= 0 && src < shards() && dst >= 0 && dst < shards());
-  if (src == dst) {
-    shards_[src]->eng.schedule_at(t, std::move(fn));
-    return;
-  }
-  Shard& from = *shards_[src];
-  assert(t >= from.eng.now() + lookahead_ &&
-         "cross-shard post inside the conservative horizon");
-  ++from.stats.cross_sent;
-  from.out.push_back(Staged{t, static_cast<std::uint32_t>(src),
-                            from.next_seq++, static_cast<std::uint32_t>(dst),
-                            std::move(fn)});
-}
-
-std::size_t ShardedEngine::drain_and_inject() {
-  batch_.clear();
-  for (auto& sh : shards_) {
-    // Most rounds of a loosely-coupled model post nothing.
-    if (sh->out.empty()) continue;
-    batch_.insert(batch_.end(), std::make_move_iterator(sh->out.begin()),
-                  std::make_move_iterator(sh->out.end()));
-    sh->out.clear();
-  }
-  // Deterministic merge order (t, src, seq); a round with <= 1 cross event
-  // skips the sort. Keys are unique: seq is per-source-shard monotonic.
-  if (batch_.size() > 1) {
-    std::sort(batch_.begin(), batch_.end(),
-              [](const Staged& a, const Staged& b) {
-                if (a.t != b.t) return a.t < b.t;
-                if (a.src != b.src) return a.src < b.src;
-                return a.seq < b.seq;
-              });
-  }
-  // Inject straight into the destination queues: every delivery time is at
-  // or past the destination's horizon, so nothing lands in a shard's past
-  // and no staging heap is needed.
-  for (Staged& st : batch_) {
-    shards_[st.dst]->eng.schedule_at(st.t, std::move(st.fn));
-  }
-  return batch_.size();
-}
-
 void ShardedEngine::run_shard_window(int s) {
   Shard& sh = *shards_[s];
   const std::uint64_t before = sh.eng.events_processed();
@@ -138,7 +76,7 @@ void ShardedEngine::run_shard_window(int s) {
   try {
     // Horizon [next, end): Time is integral, so "strictly below end" is
     // run_until(end - 1). The engine parks with now() == end - 1, safely
-    // behind any merge-injected arrival (all of which are >= end).
+    // behind any exchanged arrival (all of which are >= end).
     sh.eng.run_until(end == kMaxSimTime ? kMaxSimTime : end - 1);
   } catch (...) {
     sh.error = std::current_exception();
@@ -180,10 +118,16 @@ void ShardedEngine::stop_pool() {
 void ShardedEngine::run_rounds(Time cap) {
   const int S = shards();
   for (;;) {
-    // Merge first: anything posted during the previous round (or before the
-    // run started) lands in the queues before horizons are computed, so
-    // in-flight traffic is fully accounted by next-event times.
-    if (drain_and_inject() > 0) ++windows_;
+    // Exchange first: anything sent during the previous round (or before
+    // the run started) lands in its destination's queue before horizons are
+    // computed, so in-flight traffic is fully accounted by next-event times.
+    if (bus_ != nullptr) {
+      const std::size_t moved = bus_->exchange();
+      if (moved > 0) {
+        ++windows_;
+        cross_events_ += moved;
+      }
+    }
 
     // The horizons below need only the two smallest next values and the
     // shard holding the smallest.
@@ -299,20 +243,11 @@ void ShardedEngine::run_until(Time t) {
 void ShardedEngine::abort_all() {
   stop_pool();
   for (auto& sh : shards_) sh->eng.abort_all();
-  // Drop in-flight cross traffic: its targets are gone. InlineFn destructors
-  // release any captured resources.
-  for (auto& sh : shards_) sh->out.clear();
 }
 
 std::uint64_t ShardedEngine::total_events() const {
   std::uint64_t n = 0;
   for (const auto& sh : shards_) n += sh->stats.events;
-  return n;
-}
-
-std::uint64_t ShardedEngine::cross_events() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->stats.cross_sent;
   return n;
 }
 

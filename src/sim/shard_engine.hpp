@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -9,11 +10,12 @@
 
 namespace gbc::sim {
 
+class LpBus;
+
 /// Per-shard execution counters, the basis for the per-shard event split
 /// the shard benchmarks report.
 struct ShardStats {
-  std::uint64_t events = 0;      ///< events this shard dispatched
-  std::uint64_t cross_sent = 0;  ///< cross-shard messages it produced
+  std::uint64_t events = 0;  ///< events this shard dispatched
 };
 
 /// Conservative-lookahead parallel discrete-event engine.
@@ -21,11 +23,11 @@ struct ShardStats {
 /// One simulation is partitioned into S shards, each owning a full serial
 /// Engine — its own event heap and callable slots — and the
 /// model's state is partitioned with them (every logical process belongs to
-/// exactly one shard). A cross-shard send is appended to its source shard's
-/// outbox instead of the destination's queue; outboxes are drained at the
-/// round barrier and merged in deterministic (t, src_shard, seq) order, so
-/// serial and S-shard runs are event-for-event identical at any thread
-/// count.
+/// exactly one shard). The engine only schedules: it computes horizons, runs
+/// the shards on its worker pool, and at each round barrier hands control to
+/// the sim::LpBus registered with it, which owns all cross-shard traffic and
+/// moves every message staged during the round into its destination's
+/// settle bucket.
 ///
 /// ## Horizons: one uniform lookahead
 ///
@@ -48,25 +50,24 @@ struct ShardStats {
 ///
 /// A *round* is one horizon computation plus the execution it permits. A
 /// *window* only ends when a round actually produced cross-shard traffic:
-/// the outboxes are merged, destination sequence numbers are assigned in
-/// (t, src, seq) order, and `windows()` increments. Rounds in which no
-/// cross-shard traffic is in flight fuse into the current window —
-/// execution advances straight to the next globally pending work with no
-/// merge and no sort. A workload whose traffic is mostly shard-local pays
-/// one merge per actual exchange, not one per lookahead quantum of
+/// the bus's exchange moved at least one message and `windows()`
+/// increments. Rounds in which no cross-shard traffic is in flight fuse
+/// into the current window — execution advances straight to the next
+/// globally pending work. A workload whose traffic is mostly shard-local
+/// pays one exchange per actual hand-off, not one per lookahead quantum of
 /// simulated time.
 ///
 /// Determinism does NOT depend on the thread count or the shard->thread
 /// assignment; it does depend on the shard *count* only through the model's
-/// LP discipline. The full protocol stack is disciplined: sim::LpBus
-/// delivers every cross-LP message through a settle sweep sorted by
-/// (dst LP, origin LP, origin seq), so its runs are shard-count-invariant
-/// too.
+/// LP discipline. sim::LpBus delivers every cross-LP message through a
+/// settle sweep sorted by (dst LP, origin LP, origin seq), so the order in
+/// which an exchange moves messages is unobservable and runs are
+/// shard-count-invariant.
 class ShardedEngine {
  public:
   struct Options {
     int shards = 1;
-    /// Minimum latency of every cross-shard post; must be > 0 when
+    /// Minimum latency of every cross-shard message; must be > 0 when
     /// shards > 1.
     Time lookahead = 0;
     /// Worker threads to run rounds on, clamped to [1, shards]. 1 runs all
@@ -83,37 +84,41 @@ class ShardedEngine {
 
   int shards() const noexcept { return static_cast<int>(shards_.size()); }
   int threads() const noexcept { return threads_; }
-  Engine& shard(int s);
+  Engine& shard(int s) { return shards_[s]->eng; }
 
-  /// Cross-shard schedule: from model code running on shard `src`, schedule
-  /// fn on shard `dst` at absolute simulated time t. Requires
-  /// t >= shard(src).now() + lookahead (the conservative contract;
-  /// asserted) — use a same-shard schedule_at for anything closer, which
-  /// post() degrades to when src == dst.
-  void post(int src, int dst, Time t, InlineFn fn);
-
-  /// Runs rounds until every shard's queue and every outbox drain.
+  /// Runs rounds until every shard's queue and the bus's outboxes drain.
   /// Rethrows the first simulated-process error (lowest shard index).
   void run();
   /// Runs every event with timestamp <= t, then advances every shard's
   /// clock to t (the sharded analogue of Engine::run_until).
   void run_until(Time t);
   /// Aborts every shard's engine (waking suspended coroutines with
-  /// SimAborted) and discards all in-flight cross-shard traffic.
+  /// SimAborted) and drops their queues. Cross-shard traffic lives in the
+  /// bus; LpBus::clear() drops it.
   void abort_all();
 
-  const ShardStats& stats(int s) const;
+  const ShardStats& stats(int s) const { return shards_[s]->stats; }
   std::uint64_t total_events() const;
   /// Synchronization windows: barriers at which cross-shard traffic was
-  /// actually merged. Rounds without traffic fuse and are not counted.
+  /// actually exchanged. Rounds without traffic fuse and are not counted.
   std::uint64_t windows() const noexcept { return windows_; }
   /// Horizon-advance rounds, including fused (traffic-free) ones.
   std::uint64_t rounds() const noexcept { return rounds_; }
-  /// Total cross-shard messages merged so far.
-  std::uint64_t cross_events() const;
+  /// Total cross-shard messages exchanged so far.
+  std::uint64_t cross_events() const noexcept { return cross_events_; }
 
  private:
-  struct Shard;
+  // The bus registers itself here (one per engine) and is called at every
+  // round barrier.
+  friend class LpBus;
+
+  /// Shard-private state. Padded so two worker threads never share a line
+  /// through the hot stats counter.
+  struct alignas(64) Shard {
+    Engine eng;
+    ShardStats stats;
+    std::exception_ptr error;
+  };
 
   /// One shard: the serial engine's own run()/run_until(*cap) loop, so its
   /// clock semantics hold exactly.
@@ -121,9 +126,6 @@ class ShardedEngine {
   void run_shard_window(int s);
   void worker_loop(int worker);
   void run_rounds(Time cap);
-  /// Moves every outbox into batch_, merges, injects. Returns the number
-  /// of cross events injected.
-  std::size_t drain_and_inject();
   void stop_pool();
 
   std::vector<std::unique_ptr<Shard>> shards_;
@@ -133,20 +135,8 @@ class ShardedEngine {
   int threads_ = 1;
   std::uint64_t windows_ = 0;
   std::uint64_t rounds_ = 0;
-
-  // One cross-shard post. `seq` is per-source-shard monotonic, so
-  // (t, src, seq) totally orders every cross-shard message — the merge key
-  // that keeps sharded runs deterministic regardless of thread timing.
-  struct Staged {
-    Time t;
-    std::uint32_t src;
-    std::uint64_t seq;
-    std::uint32_t dst;
-    InlineFn fn;
-  };
-  // Barrier-drain scratch: every outbox's posts, merged by (t, src, seq)
-  // with a single sort (skipped when <= 1 event).
-  std::vector<Staged> batch_;
+  std::uint64_t cross_events_ = 0;
+  LpBus* bus_ = nullptr;
 
   // Window barrier state for the per-run worker pool (see shard_engine.cpp).
   struct Pool;

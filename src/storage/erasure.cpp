@@ -91,13 +91,8 @@ sim::Time ErasureTier::decode_time(const ErasureConfig& cfg, Bytes image,
 sim::Task<void> ErasureTier::place_chunk(sim::Engine& eng, int node, int dst,
                                          Bytes bytes, std::uint64_t image_id,
                                          int chunk, ErasureChunks* out,
-                                         const Transport& transport,
-                                         double fallback_mbps) {
-  if (transport) {
-    co_await transport(node, dst, bytes);
-  } else {
-    co_await eng.delay(transfer_time(bytes, fallback_mbps));
-  }
+                                         const Transport& transport) {
+  co_await transport(node, dst, bytes);
   out->done_at[static_cast<std::size_t>(chunk)] = eng.now();
   NodeStats& st = stats_[static_cast<std::size_t>(node)];
   ++st.chunks_placed;
@@ -112,8 +107,7 @@ sim::Task<void> ErasureTier::place_chunk(sim::Engine& eng, int node, int dst,
 sim::Task<void> ErasureTier::protect(sim::Engine& eng, int node, Bytes image,
                                      std::uint64_t image_id,
                                      ErasureChunks* out,
-                                     const Transport& transport,
-                                     double fallback_mbps) {
+                                     const Transport& transport) {
   out->k = cfg_.k;
   out->m = cfg_.m;
   out->chunk_bytes = chunk_bytes(image);
@@ -133,8 +127,8 @@ sim::Task<void> ErasureTier::protect(sim::Engine& eng, int node, Bytes image,
   sim::JoinSet scatter(eng);
   for (std::size_t c = 0; c < out->nodes.size(); ++c) {
     scatter.launch(place_chunk(eng, node, out->nodes[c], out->chunk_bytes,
-                               image_id, static_cast<int>(c), out, transport,
-                               fallback_mbps));
+                               image_id, static_cast<int>(c), out,
+                               transport));
   }
   co_await scatter.join();
   out->encoded_at = eng.now();

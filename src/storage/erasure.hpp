@@ -74,10 +74,11 @@ struct ErasureChunks {
   bool active() const noexcept { return k > 0; }
 };
 
-/// The encode/placement half of the erasure tier. Owned by TieredStore and
-/// driven entirely on the service LP's engine: chunk scatters ride the same
-/// fabric bulk lanes as partner replication, so sharded runs stay
-/// event-for-event identical to serial ones (DESIGN.md §14).
+/// The encode/placement half of the erasure tier. Owned by TieredStore; each
+/// node protects its own images on its home shard's engine, and chunk
+/// scatters ride the same fabric bulk lanes as partner replication, so
+/// sharded runs stay event-for-event identical to serial ones
+/// (DESIGN.md §14).
 class ErasureTier {
  public:
   /// Same shape as TieredStore::Transport (fabric bulk_transfer).
@@ -125,15 +126,14 @@ class ErasureTier {
 
   /// Encodes `image` bytes on `node` (GF or XOR compute time on the
   /// simulation clock), then scatters the k+m chunks to the parity group in
-  /// parallel over `transport` (falling back to `fallback_mbps` transfers
-  /// when none is installed), recording per-chunk placement/completion into
-  /// `out`. Resolves when the whole stripe is placed. `eng` is the home
+  /// parallel over `transport`, recording per-chunk placement/completion
+  /// into `out`. Resolves when the whole stripe is placed. `eng` is the home
   /// node's engine — in a partitioned TieredStore each node protects its
   /// own images on its home shard, so all bookkeeping lands in that node's
   /// stat slot.
   sim::Task<void> protect(sim::Engine& eng, int node, Bytes image,
                           std::uint64_t image_id, ErasureChunks* out,
-                          const Transport& transport, double fallback_mbps);
+                          const Transport& transport);
 
   // --- stats (per-node slots, summed at quiescence) ---
   std::int64_t images_encoded() const noexcept {
@@ -163,8 +163,7 @@ class ErasureTier {
 
   sim::Task<void> place_chunk(sim::Engine& eng, int node, int dst,
                               Bytes bytes, std::uint64_t image_id, int chunk,
-                              ErasureChunks* out, const Transport& transport,
-                              double fallback_mbps);
+                              ErasureChunks* out, const Transport& transport);
 
   ErasureConfig cfg_;
   int nnodes_;

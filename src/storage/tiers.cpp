@@ -1,13 +1,15 @@
 #include "storage/tiers.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace gbc::storage {
 
-TieredStore::TieredStore(sim::Engine& eng, StorageSystem& pfs, TierConfig cfg,
-                         int nnodes, sim::LpBus* bus)
-    : eng_(eng), pfs_(pfs), cfg_(cfg), bus_(bus), idle_cv_(eng) {
+TieredStore::TieredStore(StorageSystem& pfs, TierConfig cfg, int nnodes,
+                         sim::LpBus& bus, Transport transport)
+    : pfs_(pfs), cfg_(cfg), bus_(bus), transport_(std::move(transport)) {
+  assert(transport_ && "TieredStore needs a replica/chunk transport");
   // Each node's condition variable lives on the node's home engine so that
   // pause/resume wakeups stay shard-local.
   for (int i = 0; i < nnodes; ++i) nodes_.emplace_back(engine_of(i));
@@ -24,17 +26,13 @@ void TieredStore::trace_event(int node, const char* category,
 }
 
 sim::Task<void> TieredStore::pfs_write_from(int node, Bytes bytes) {
-  if (bus_ == nullptr) {
-    co_await pfs_.write(bytes);
-    co_return;
-  }
   // The PFS is the one shared resource left in the partitioned store: every
   // write is an RPC to the service LP, so the arbitration order the
   // StorageSystem sees is the bus's canonical delivery order — identical at
   // any shard count.
   StorageSystem* pfs = &pfs_;
-  co_await bus_->call(node, bus_->svc_lp(),
-                      [pfs, bytes] { return pfs->write(bytes); });
+  co_await bus_.call(node, bus_.svc_lp(),
+                     [pfs, bytes] { return pfs->write(bytes); });
 }
 
 bool TieredStore::make_room(int node, Bytes need) {
@@ -106,8 +104,8 @@ sim::Task<std::uint64_t> TieredStore::snapshot(int node, Bytes bytes) {
   // schedule-dependent order. The write-through PFS path above skips this:
   // those images are already durable against any node loss.
   if (erasure_) {
-    co_await erasure_->protect(eng, node, bytes, img.id, &img.ec, transport_,
-                               cfg_.replica_fallback_mbps);
+    co_await erasure_->protect(eng, node, bytes, img.id, &img.ec,
+                               transport_);
   }
   co_return img.id;
 }
@@ -119,11 +117,7 @@ sim::Task<void> TieredStore::replicate_image(std::uint64_t id) {
   trace_event(img.node, "replicate",
               "begin img=" + std::to_string(id) + " to=" +
                   std::to_string(img.partner));
-  if (transport_) {
-    co_await transport_(img.node, img.partner, img.bytes);
-  } else {
-    co_await eng.delay(transfer_time(img.bytes, cfg_.replica_fallback_mbps));
-  }
+  co_await transport_(img.node, img.partner, img.bytes);
   img.replicated_at = eng.now();
   ++nodes_[img.node].replicas_made;
   trace_event(img.node, "replicate", "end img=" + std::to_string(id));
@@ -157,10 +151,8 @@ sim::Task<void> TieredStore::drain_service(int node) {
     st.draining = 0;
     ++st.images_drained;
     trace_event(node, "drain", "end img=" + std::to_string(id));
-    if (bus_ == nullptr) idle_cv_.notify_all();
   }
   st.drain_running = false;
-  if (bus_ == nullptr) idle_cv_.notify_all();
 }
 
 void TieredStore::pause_drain(int node) { nodes_[node].paused = true; }
@@ -186,19 +178,6 @@ int TieredStore::drain_backlog() const {
     if (st.draining != 0) ++n;  // the image currently in flight
   }
   return n;
-}
-
-sim::Task<void> TieredStore::quiesce() {
-  // Bus-less (single-engine) callers only: sharded runs reach drain
-  // completion by running the cluster to quiescence instead.
-  for (;;) {
-    bool busy = false;
-    for (const auto& st : nodes_) {
-      if (st.drain_running || !st.drain_queue.empty()) busy = true;
-    }
-    if (!busy) co_return;
-    co_await idle_cv_.wait();
-  }
 }
 
 }  // namespace gbc::storage

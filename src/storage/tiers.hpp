@@ -49,9 +49,6 @@ struct TierConfig {
   /// the fabric, so a single node loss cannot destroy the only copy.
   bool replicate = false;
   int replica_offset = 1;  ///< partner = (node + offset) % nnodes
-  /// Fallback replica bandwidth (MB/s) used only when no fabric transport
-  /// is installed (standalone storage tests).
-  double replica_fallback_mbps = 1250.0;
 
   /// Diskless erasure coding: each image is additionally split into k data
   /// + m parity chunks scattered across a parity group of remote nodes
@@ -79,13 +76,11 @@ inline sim::Time transfer_time(Bytes bytes, double mbps) {
 /// after a node loss (harness/recovery.cpp; DESIGN.md §10).
 ///
 /// The store is *partitioned by node* (DESIGN.md §15): each node owns its
-/// ledger shard, staging-disk schedule, drain queue, and stat slots, and —
-/// when an LpBus is attached — all of a node's tier work (foreground write,
-/// drain pacing, replica/erasure scatter) runs on that node's home shard
-/// engine. Only the shared PFS stays central: every PFS leg is routed to the
-/// service LP by message, so PFS arbitration order is canonical at any shard
-/// count. Without a bus (standalone storage tests) everything runs on the
-/// single constructor engine, same as before the partitioning.
+/// ledger shard, staging-disk schedule, drain queue, and stat slots, and all
+/// of a node's tier work (foreground write, drain pacing, replica/erasure
+/// scatter) runs on that node's home shard engine. Only the shared PFS
+/// stays central: every PFS leg is routed to the service LP by message, so
+/// PFS arbitration order is canonical at any shard count.
 class TieredStore {
  public:
   /// Copies `bytes` from node `src` to node `dst` over the interconnect.
@@ -105,11 +100,12 @@ class TieredStore {
     ErasureChunks ec;              ///< chunk placement, inactive when k == 0
   };
 
-  /// With a bus, node i's partition lives on LP i's home shard (node ids and
-  /// rank LP ids coincide in the harness) and PFS legs become RPCs to the
-  /// service LP. `eng` is then only the fallback engine for bus-less use.
-  TieredStore(sim::Engine& eng, StorageSystem& pfs, TierConfig cfg,
-              int nnodes, sim::LpBus* bus = nullptr);
+  /// Node i's partition lives on LP i's home shard of `bus` (node ids and
+  /// rank LP ids coincide in the harness), and PFS legs are RPCs to the
+  /// service LP, where `pfs` lives. Replica and erasure-chunk copies go
+  /// through `transport` (the harness passes the fabric's bulk_transfer).
+  TieredStore(StorageSystem& pfs, TierConfig cfg, int nnodes,
+              sim::LpBus& bus, Transport transport);
   TieredStore(const TieredStore&) = delete;
   TieredStore& operator=(const TieredStore&) = delete;
 
@@ -117,9 +113,6 @@ class TieredStore {
   const TierConfig& config() const noexcept { return cfg_; }
   int nnodes() const noexcept { return static_cast<int>(nodes_.size()); }
 
-  /// Replica copies go through this (the harness installs the fabric's
-  /// bulk_transfer). Without one, replica_fallback_mbps is charged.
-  void set_replica_transport(Transport t) { transport_ = std::move(t); }
   void set_trace(sim::Trace* trace) {
     trace_ = trace;
     if (erasure_) erasure_->set_trace(trace);
@@ -137,12 +130,9 @@ class TieredStore {
 
   /// Pauses / resumes node's background drain (between chunks). Pure state
   /// flips on node-owned slots: callers route them to the node's shard.
+  /// Running the cluster to quiescence drains every unpaused queue.
   void pause_drain(int node);
   void resume_drain(int node);
-
-  /// Waits until every enqueued image has fully drained to the PFS (no-op
-  /// when draining is disabled). Single-engine (bus-less) use only.
-  sim::Task<void> quiesce();
 
   // --- ledger / durability queries (recovery) ---
   /// Ledger ids encode (node, per-node sequence): the partitioned shards
@@ -234,8 +224,8 @@ class TieredStore {
  private:
   /// One node's partition of the store: ledger shard, staging-disk
   /// schedule, drain queue, and stat slots, all owned by the node's home
-  /// shard engine when a bus is attached. Cache-line aligned so two nodes'
-  /// hot counters never share a line across shard threads.
+  /// shard engine. Cache-line aligned so two nodes' hot counters never
+  /// share a line across shard threads.
   struct alignas(64) NodeState {
     explicit NodeState(sim::Engine& eng) : cv(eng) {}
     Bytes used = 0;               // resident (non-evicted) local image bytes
@@ -253,9 +243,7 @@ class TieredStore {
     std::int64_t replicas_made = 0;
   };
 
-  sim::Engine& engine_of(int node) const {
-    return bus_ != nullptr ? bus_->engine_of(node) : eng_;
-  }
+  sim::Engine& engine_of(int node) const { return bus_.engine_of(node); }
   /// The one shared resource: PFS writes are arbitrated on the service LP,
   /// so their interleaving is canonical at any shard count.
   sim::Task<void> pfs_write_from(int node, Bytes bytes);
@@ -281,15 +269,13 @@ class TieredStore {
   }
   void trace_event(int node, const char* category, std::string detail);
 
-  sim::Engine& eng_;   // fallback engine when no bus is attached
   StorageSystem& pfs_;
   TierConfig cfg_;
-  sim::LpBus* bus_ = nullptr;
+  sim::LpBus& bus_;
   Transport transport_;
   std::unique_ptr<ErasureTier> erasure_;
   sim::Trace* trace_ = nullptr;
   std::deque<NodeState> nodes_;  // deque: Condition is immovable
-  sim::Condition idle_cv_;       // quiesce() wakeups; bus-less mode only
 };
 
 /// Value-type snapshot of a TieredStore's durability ledger. Recovery holds

@@ -9,9 +9,10 @@
 //  2. a group whose coordinator's node dies right after the dispatch
 //     reaches it is recovered by the root LP running that group itself,
 //     and the cycle still completes for every rank;
-//  3. the same-shard LpBus fast path (direct settle-bucket push, no
-//     cross-shard outbox hop) preserves canonical (origin, sequence)
-//     delivery order under a randomized send/RPC interleaving stress.
+//  3. the LpBus settle buckets, fed both at send time (same shard) and at
+//     the round barrier (from another shard's outbox), preserve canonical
+//     (origin, sequence) delivery order under a randomized send/RPC
+//     interleaving stress.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -155,8 +156,9 @@ sim::Task<void> record_rpc(DeliveryLog* log, int dst, int origin, int seq) {
 
 /// Each rank fires a seeded-random mix of one-way bus sends and bus RPCs at
 /// random destinations, biased so half the traffic targets a same-shard
-/// partner — forcing fast-path (direct settle-bucket) and cross-shard
-/// (outbox + inbox_push) deliveries to interleave at every receiver —
+/// partner — forcing same-shard (pushed into the settle bucket at send
+/// time) and cross-shard (moved there from the bus's outbox at the round
+/// barrier) deliveries to interleave at every receiver —
 /// with random compute gaps so bucket boundaries shift between ops.
 sim::Task<void> stress_rank(mpi::RankCtx* r, sim::LpBus* bus,
                             DeliveryLog* log, int n) {

@@ -95,10 +95,14 @@ harness::WorkloadFactory chaos_factory(std::uint64_t seed,
 // randomized sweep of seeds and group sizes.
 // ---------------------------------------------------------------------------
 
+// gtest prints each parameter's raw bytes into its ctest name, so the
+// struct must have no padding: padding bytes are left uninitialized and
+// would make the names differ from build to build.
 struct SweepCase {
   std::uint64_t seed;
-  int group_size;
+  std::int64_t group_size;
 };
+static_assert(sizeof(SweepCase) == 16, "SweepCase must have no padding");
 
 class ConsistencySweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -117,7 +121,7 @@ TEST_P(ConsistencySweep, RecoveryLinesAreConsistentAndBuffersDrain) {
   const auto param = GetParam();
   auto preset = chaos_cluster(8);
   ckpt::CkptConfig cc;
-  cc.group_size = param.group_size;
+  cc.group_size = static_cast<int>(param.group_size);
   // Checkpoint times scattered through the run, derived from the seed.
   sim::Rng rng(param.seed * 7919);
   std::vector<CkptRequest> reqs;
@@ -158,7 +162,7 @@ TEST_P(ConsistencySweep, MessageTraceNeverCrossesALine) {
   preset.nranks = 8;
   preset.mpi.record_messages = true;
   ckpt::CkptConfig cc;
-  cc.group_size = param.group_size;
+  cc.group_size = static_cast<int>(param.group_size);
   harness::SimCluster cluster(preset, cc);
   sim::Engine& eng = cluster.engine();
   mpi::MiniMPI& mpi = cluster.mpi();

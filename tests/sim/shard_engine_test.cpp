@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/lp_bus.hpp"
 #include "sim/time.hpp"
 
 namespace gbc::sim {
@@ -40,49 +42,47 @@ TEST(ShardedEngine, SingleShardMatchesSerialEngine) {
   EXPECT_EQ(sharded_log, serial_log);
 }
 
-// Messages from one source shard must arrive at the destination in send
-// (sequence) order even when they carry the same timestamp, and same-time
-// messages from different sources must merge in src-shard order — the
-// (t, src, seq) contract.
-TEST(ShardedEngine, SameTimeCrossPostsMergeBySrcThenSeq) {
+// Cross-shard traffic rides an LpBus with one LP per shard (LP s lives on
+// shard s) and a floor equal to the engine's lookahead.
+ShardedEngine::Options sharded(int shards, Time lookahead, int threads = 1) {
   ShardedEngine::Options opts;
-  opts.shards = 3;
-  // Shard 0 posts at now=1 for t=10, so the lookahead may be at most 9
-  // (post() asserts t >= now + L).
-  opts.lookahead = 9;
-  opts.threads = 1;
-  ShardedEngine se(opts);
+  opts.shards = shards;
+  opts.lookahead = lookahead;
+  opts.threads = threads;
+  return opts;
+}
+
+// Messages from one source must arrive at the destination in send
+// (sequence) order even when they carry the same timestamp, and same-time
+// messages from different sources deliver in origin order — the settle
+// sweep's (dst, origin, oseq) key.
+TEST(ShardedEngine, SameTimeCrossPostsMergeBySrcThenSeq) {
+  // LP 0 sends at now=1 for t=10, so the floor may be at most 9.
+  ShardedEngine se(sharded(3, 9));
+  LpBus bus(se, 3, 9);
   std::vector<std::string> dst_log;  // only shard 2 appends
 
-  // Both posts from shard 1 are issued before shard 0's (shard 1's seed
-  // event fires first), yet shard 0's message must still deliver first.
+  // Both sends from LP 1 are issued before LP 0's (shard 1's seed event
+  // fires first), yet LP 0's message must still deliver first.
   se.shard(1).schedule_at(0, [&] {
-    se.post(1, 2, 10, [&dst_log] { dst_log.push_back("s1:a"); });
-    se.post(1, 2, 10, [&dst_log] { dst_log.push_back("s1:b"); });
+    bus.send_at(1, 2, 10, [&dst_log] { dst_log.push_back("s1:a"); });
+    bus.send_at(1, 2, 10, [&dst_log] { dst_log.push_back("s1:b"); });
   });
   se.shard(0).schedule_at(1, [&] {
-    se.post(0, 2, 10, [&dst_log] { dst_log.push_back("s0:a"); });
+    bus.send_at(0, 2, 10, [&dst_log] { dst_log.push_back("s0:a"); });
   });
   se.run();
 
   EXPECT_EQ(dst_log, (std::vector<std::string>{"s0:a", "s1:a", "s1:b"}));
 }
 
-// post() with src == dst degrades to a plain schedule_at, so model code can
-// route every send through post() without special-casing locality (and
-// without the lookahead restriction for same-shard traffic).
-TEST(ShardedEngine, SameShardPostIgnoresLookahead) {
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  opts.lookahead = 100;
-  ShardedEngine se(opts);
-  std::vector<Time> fired;
-  se.shard(0).schedule_at(0, [&] {
-    se.post(0, 0, 3, [&] { fired.push_back(se.shard(0).now()); });
-  });
-  se.run();
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0], 3);
+// The conservative horizons assume every cross-shard message takes at
+// least the lookahead, so a bus whose floor is shorter is refused.
+TEST(ShardedEngine, BusFloorBelowLookaheadIsRejected) {
+  ShardedEngine se(sharded(2, 10));
+  EXPECT_THROW(LpBus(se, 2, 9), std::invalid_argument);
+  LpBus at_floor(se, 2, 10);
+  EXPECT_EQ(at_floor.floor(), 10);
 }
 
 // Ring of cross-shard hops. The per-shard delivery logs — and the window
@@ -90,34 +90,28 @@ TEST(ShardedEngine, SameShardPostIgnoresLookahead) {
 // on one thread each. (Each log is appended only by its own shard, so the
 // logs are race-free even in the threaded run.)
 struct ChainCtx {
-  ShardedEngine* se = nullptr;
+  LpBus* bus = nullptr;
   std::vector<std::vector<int>> logs;
-  Time lookahead = 0;
 };
 
 void hop(ChainCtx* c, int s, int n) {
   c->logs[static_cast<std::size_t>(s)].push_back(n);
   if (n == 0) return;
-  const int dst = (s + 1) % c->se->shards();
-  const Time t = c->se->shard(s).now() + c->lookahead;
-  c->se->post(s, dst, t, [c, dst, n] { hop(c, dst, n - 1); });
+  const int dst = (s + 1) % c->bus->shards();
+  c->bus->send(s, dst, [c, dst, n] { hop(c, dst, n - 1); });
 }
 
 ChainCtx run_ring(int threads) {
-  ShardedEngine::Options opts;
-  opts.shards = 4;
-  opts.lookahead = 7;
-  opts.threads = threads;
-  ShardedEngine se(opts);
+  ShardedEngine se(sharded(4, 7, threads));
+  LpBus bus(se, 4, 7);
   ChainCtx ctx;
-  ctx.se = &se;
+  ctx.bus = &bus;
   ctx.logs.resize(4);
-  ctx.lookahead = opts.lookahead;
   for (int s = 0; s < 4; ++s) {
     se.shard(s).schedule_at(s, [&ctx, s] { hop(&ctx, s, 40); });
   }
   se.run();
-  ctx.se = nullptr;
+  ctx.bus = nullptr;
   return ctx;
 }
 
@@ -132,28 +126,25 @@ TEST(ShardedEngine, RingDeliveryIndependentOfThreadCount) {
 }
 
 TEST(ShardedEngine, WindowsCountMergesOnlyAndStatsAccount) {
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  opts.lookahead = 5;
-  ShardedEngine se(opts);
+  ShardedEngine se(sharded(2, 5));
+  LpBus bus(se, 2, 5);
   int delivered = 0;
   se.shard(0).schedule_at(0, [&] {
-    se.post(0, 1, 5, [&] {
+    bus.send(0, 1, [&] {
       ++delivered;
-      se.post(1, 0, 10, [&] { ++delivered; });
+      bus.send(1, 0, [&] { ++delivered; });
     });
   });
   se.run();
   EXPECT_EQ(delivered, 2);
-  // Exactly two cross-shard messages were merged, so exactly two windows —
-  // rounds without traffic fuse and are never counted as windows.
+  // Exactly two cross-shard messages were exchanged, in two different
+  // rounds, so exactly two windows — rounds without traffic fuse and are
+  // never counted as windows.
   EXPECT_EQ(se.windows(), 2u);
   EXPECT_GE(se.rounds(), se.windows());
   EXPECT_EQ(se.cross_events(), 2u);
   EXPECT_EQ(se.total_events(),
             se.stats(0).events + se.stats(1).events);
-  EXPECT_EQ(se.stats(0).cross_sent, 1u);
-  EXPECT_EQ(se.stats(1).cross_sent, 1u);
 }
 
 // Shard-local workloads never merge: a run with zero cross-shard posts is
@@ -197,22 +188,19 @@ TEST(ShardedEngine, IdlePeerBoundsShardByItsRoundTrip) {
   EXPECT_EQ(se.windows(), 0u);
 }
 
-// Shards 0-2 post 600 same-time events each to shard 3 in one round, in
-// parallel at threads = 4. Shard 3 must see them in (src, seq) order —
-// every post of shard 0, then 1, then 2, each in post order — exactly as
-// the inline threads = 1 run does.
+// LPs 0-2 send 600 same-time messages each to LP 3 in one round, in
+// parallel at threads = 4. LP 3 must see them in (origin, oseq) order —
+// every send of LP 0, then 1, then 2, each in send order — exactly as the
+// inline threads = 1 run does.
 std::vector<std::pair<int, int>> fan_in_log(int threads) {
   constexpr int kPosts = 600;
-  ShardedEngine::Options opts;
-  opts.shards = 4;
-  opts.lookahead = 10;
-  opts.threads = threads;
-  ShardedEngine se(opts);
+  ShardedEngine se(sharded(4, 10, threads));
+  LpBus bus(se, 4, 10);
   std::vector<std::pair<int, int>> log;  // appended only by shard 3
   for (int s = 0; s < 3; ++s) {
-    se.shard(s).schedule_at(0, [&se, &log, s] {
+    se.shard(s).schedule_at(0, [&bus, &log, s] {
       for (int i = 0; i < kPosts; ++i) {
-        se.post(s, 3, 10, [&log, s, i] { log.emplace_back(s, i); });
+        bus.send(s, 3, [&log, s, i] { log.emplace_back(s, i); });
       }
     });
   }
@@ -233,17 +221,14 @@ TEST(ShardedEngine, ParallelFanInMergesBySrcThenSeq) {
 }
 
 // run_until stops at the cap, leaves later work pending, advances every
-// shard clock to the cap, and a follow-up run() finishes the job. abort_all
-// after run_until discards in-flight cross traffic without delivering it.
+// shard clock to the cap, and a follow-up run() finishes the job.
 TEST(ShardedEngine, RunUntilCapsAndResumesAcrossShards) {
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  opts.lookahead = 4;
-  ShardedEngine se(opts);
+  ShardedEngine se(sharded(2, 4));
+  LpBus bus(se, 2, 4);
   std::vector<Time> fired;
   se.shard(0).schedule_at(2, [&] {
     fired.push_back(se.shard(0).now());
-    se.post(0, 1, 100, [&] { fired.push_back(se.shard(1).now()); });
+    bus.send_at(0, 1, 100, [&] { fired.push_back(se.shard(1).now()); });
   });
   se.run_until(50);
   EXPECT_EQ(fired, (std::vector<Time>{2}));
@@ -253,40 +238,42 @@ TEST(ShardedEngine, RunUntilCapsAndResumesAcrossShards) {
   EXPECT_EQ(fired, (std::vector<Time>{2, 100}));
 }
 
+// Teardown of an aborted run: abort_all drops the engines' queues and the
+// bus's clear() drops its traffic — both the message already exchanged into
+// shard 1's settle bucket and the one still staged in shard 0's outbox — so
+// neither is ever delivered.
 TEST(ShardedEngine, AbortAllDiscardsInFlightCrossTraffic) {
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  opts.lookahead = 4;
-  ShardedEngine se(opts);
+  ShardedEngine se(sharded(2, 4));
+  LpBus bus(se, 2, 4);
   int delivered = 0;
   se.shard(0).schedule_at(0, [&] {
-    se.post(0, 1, 500, [&] { ++delivered; });
+    bus.send_at(0, 1, 500, [&] { ++delivered; });
   });
   se.run_until(10);
+  bus.send_at(0, 1, 600, [&] { ++delivered; });  // staged, not exchanged
   se.abort_all();
+  bus.clear();
   se.run();  // nothing left anywhere
   EXPECT_EQ(delivered, 0);
   EXPECT_TRUE(se.shard(1).queue_empty());
+  EXPECT_EQ(se.cross_events(), 1u);
 }
 
 // Non-power-of-two shard and thread counts partition and merge correctly,
 // and results are independent of the thread count.
 TEST(ShardedEngine, NonPowerOfTwoShardAndThreadCounts) {
   auto run_all_pairs = [](int shards, int threads) {
-    ShardedEngine::Options opts;
-    opts.shards = shards;
-    opts.lookahead = 3;
-    opts.threads = threads;
-    ShardedEngine se(opts);
+    ShardedEngine se(sharded(shards, 3, threads));
+    LpBus bus(se, shards, 3);
     std::vector<std::vector<int>> logs(
         static_cast<std::size_t>(shards));  // each shard appends only its own
     for (int s = 0; s < shards; ++s) {
-      se.shard(s).schedule_at(s, [&se, &logs, s, shards] {
+      se.shard(s).schedule_at(s, [&bus, &logs, s, shards] {
         for (int d = 0; d < shards; ++d) {
           if (d == s) continue;
-          se.post(s, d, se.shard(s).now() + 3,
-                  [&logs, d, s] { logs[static_cast<std::size_t>(d)]
-                                      .push_back(s); });
+          bus.send(s, d, [&logs, d, s] {
+            logs[static_cast<std::size_t>(d)].push_back(s);
+          });
         }
       });
     }

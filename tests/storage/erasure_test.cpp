@@ -15,9 +15,12 @@
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
 #include "storage/tiers.hpp"
+#include "tier_world.hpp"
 
 namespace gbc::storage {
 namespace {
+
+using testing::TierWorld;
 
 using sim::Engine;
 using sim::Task;
@@ -142,7 +145,7 @@ TEST(ErasureProtect, ScattersOneChunkToEachGroupMember) {
   };
   eng.spawn([](Engine& e, ErasureTier& t, ErasureChunks& out,
                const ErasureTier::Transport& tr) -> Task<void> {
-    co_await t.protect(e, 5, mib(64), 1, &out, tr, 1250.0);
+    co_await t.protect(e, 5, mib(64), 1, &out, tr);
   }(eng, tier, ec, transport));
   eng.run();
 
@@ -167,19 +170,18 @@ TEST(ErasureProtect, ScattersOneChunkToEachGroupMember) {
 }
 
 TEST(ErasureLedger, DecodableWhileAtLeastKChunksSurvive) {
-  Engine eng;
-  StorageSystem pfs(eng, StorageConfig{});
   TierConfig tc;
   tc.enabled = true;
   tc.drain_mbps = 0;
   tc.erasure = rs42();
-  TieredStore store(eng, pfs, tc, 16);
+  TierWorld w(tc, 16);
+  TieredStore& store = w.tier;
   ASSERT_NE(store.erasure(), nullptr);
   std::uint64_t id = 0;
-  eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {
+  w.eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {
     out = co_await t.snapshot(1, mib(64));
   }(store, id));
-  eng.run();
+  w.eng.run();
   const auto* img = store.find(id);
   ASSERT_NE(img, nullptr);
   ASSERT_TRUE(img->ec.active());
@@ -204,18 +206,17 @@ TEST(ErasureLedger, DecodableWhileAtLeastKChunksSurvive) {
 }
 
 TEST(ErasureLedger, DisabledErasureLeavesImagesUnprotected) {
-  Engine eng;
-  StorageSystem pfs(eng, StorageConfig{});
   TierConfig tc;
   tc.enabled = true;
   tc.drain_mbps = 0;
-  TieredStore store(eng, pfs, tc, 16);
+  TierWorld w(tc, 16);
+  TieredStore& store = w.tier;
   EXPECT_EQ(store.erasure(), nullptr);
   std::uint64_t id = 0;
-  eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {
+  w.eng.spawn([](TieredStore& t, std::uint64_t& out) -> Task<void> {
     out = co_await t.snapshot(0, mib(64));
   }(store, id));
-  eng.run();
+  w.eng.run();
   const auto* img = store.find(id);
   ASSERT_NE(img, nullptr);
   EXPECT_FALSE(img->ec.active());

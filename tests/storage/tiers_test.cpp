@@ -8,6 +8,7 @@
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
+#include "tier_world.hpp"
 
 namespace gbc::storage {
 namespace {
@@ -15,6 +16,7 @@ namespace {
 using sim::Engine;
 using sim::Task;
 using sim::Time;
+using Fixture = testing::TierWorld;
 
 TierConfig tier_config() {
   TierConfig tc;
@@ -26,15 +28,8 @@ TierConfig tier_config() {
   return tc;
 }
 
-struct Fixture {
-  Engine eng;
-  StorageSystem pfs;
-  TieredStore tier;
-  Fixture(TierConfig tc, int nnodes)
-      : pfs(eng, StorageConfig{}), tier(eng, pfs, tc, nnodes) {}
-};
-
-/// Runs `tier.snapshot(node, bytes)` to completion and returns (id, seconds).
+/// Runs `tier.snapshot(node, bytes)` and the engine to completion — which
+/// includes any background drain it started — and returns (id, seconds).
 std::pair<std::uint64_t, double> timed_snapshot(Fixture& f, int node,
                                                 Bytes bytes) {
   std::uint64_t id = 0;
@@ -102,13 +97,8 @@ TEST(TieredStore, DrainPacedByDrainRateWhenPfsIsFaster) {
   Fixture f(tc, 2);
   auto [id, write_secs] = timed_snapshot(f, 0, mib(64));
   (void)write_secs;
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
-  f.eng.run();
   ASSERT_EQ(f.tier.images_drained(), 1);
+  const Time drained_at = f.tier.find(id)->drained_at;
   // 64 MiB at 16 MB/s = 4 s of draining after the 0.16 s local write.
   EXPECT_NEAR(sim::to_seconds(drained_at), 0.16 + 4.0, 0.05);
   EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(id)));
@@ -118,13 +108,8 @@ TEST(TieredStore, DrainLimitedByPfsFairShareWhenRateIsHigher) {
   auto tc = tier_config();
   tc.drain_mbps = 10000.0;  // ask for more than the PFS can give
   Fixture f(tc, 2);
-  timed_snapshot(f, 0, mib(108));
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
-  f.eng.run();
+  const std::uint64_t id = timed_snapshot(f, 0, mib(108)).first;
+  const Time drained_at = f.tier.find(id)->drained_at;
   // 108 MiB through the PFS at the 108 MB/s single-client cap: ~1 s after
   // the local write, no faster no matter what drain rate was requested.
   EXPECT_NEAR(sim::to_seconds(drained_at), 0.27 + 1.0, 0.05);
@@ -135,11 +120,9 @@ TEST(TieredStore, CapacityEvictsOnlyDrainedImages) {
   tc.local_capacity_mib = 100.0;
   tc.drain_mbps = 50.0;
   Fixture f(tc, 2);
+  // The run lets the first image finish draining (64 MiB / 50 MBps =
+  // 1.28 s).
   auto [id1, s1] = timed_snapshot(f, 0, mib(64));
-  // Let the first image finish draining (64 MiB / 50 MBps = 1.28 s).
-  f.eng.spawn([](TieredStore& t) -> Task<void> { co_await t.quiesce(); }(
-      f.tier));
-  f.eng.run();
   ASSERT_TRUE(TieredStore::pfs_durable(*f.tier.find(id1)));
   // The second image needs the space: the drained one is evicted.
   auto [id2, s2] = timed_snapshot(f, 0, mib(64));
@@ -170,17 +153,17 @@ TEST(TieredStore, ReplicationUsesInstalledTransport) {
   tc.drain_mbps = 0;
   tc.replicate = true;
   tc.replica_offset = 1;
-  Fixture f(tc, 4);
   int calls = 0, got_src = -1, got_dst = -1;
   Bytes got_bytes = 0;
-  f.tier.set_replica_transport(
-      [&](int src, int dst, Bytes b) -> Task<void> {
-        ++calls;
-        got_src = src;
-        got_dst = dst;
-        got_bytes = b;
-        co_await f.eng.delay(2 * sim::kSecond);
-      });
+  Engine* eng = nullptr;  // the transport runs only after f is built
+  Fixture f(tc, 4, [&](int src, int dst, Bytes b) -> Task<void> {
+    ++calls;
+    got_src = src;
+    got_dst = dst;
+    got_bytes = b;
+    co_await eng->delay(2 * sim::kSecond);
+  });
+  eng = &f.eng;
   auto [id, secs] = timed_snapshot(f, 1, mib(64));
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(got_src, 1);
@@ -201,34 +184,28 @@ TEST(TieredStore, PauseStallsDrainUntilResume) {
   tc.drain_chunk_mib = 64.0;  // single chunk: pause acts at the start
   Fixture f(tc, 2);
   f.tier.pause_drain(0);
-  timed_snapshot(f, 0, mib(64));
+  const std::uint64_t id = timed_snapshot(f, 0, mib(64)).first;
   EXPECT_EQ(f.tier.images_drained(), 0);
   EXPECT_EQ(f.tier.drain_backlog(), 1);
-  Time drained_at = -1;
-  f.eng.spawn([](TieredStore& t, Engine& e, Time& at) -> Task<void> {
+  f.eng.spawn([](TieredStore& t, Engine& e) -> Task<void> {
     co_await e.delay(10 * sim::kSecond);
     t.resume_drain(0);
-    co_await t.quiesce();
-    at = e.now();
-  }(f.tier, f.eng, drained_at));
+  }(f.tier, f.eng));
   f.eng.run();
   EXPECT_EQ(f.tier.images_drained(), 1);
   // Resume fires 10 s after the 0.16 s local write; drain then takes 1 s.
-  EXPECT_NEAR(sim::to_seconds(drained_at), 11.16, 0.05);
+  EXPECT_NEAR(sim::to_seconds(f.tier.find(id)->drained_at), 11.16, 0.05);
 }
 
+// Running the cluster to quiescence drains every node's queue.
 TEST(TieredStore, QuiesceDrainsAllNodes) {
   auto tc = tier_config();
   tc.drain_mbps = 50.0;
   Fixture f(tc, 4);
-  for (int n = 0; n < 4; ++n) timed_snapshot(f, n, mib(32));
-  bool done = false;
-  f.eng.spawn([](TieredStore& t, bool& d) -> Task<void> {
-    co_await t.quiesce();
-    d = true;
-  }(f.tier, done));
-  f.eng.run();
-  EXPECT_TRUE(done);
+  for (int n = 0; n < 4; ++n) {
+    const std::uint64_t id = timed_snapshot(f, n, mib(32)).first;
+    EXPECT_TRUE(TieredStore::pfs_durable(*f.tier.find(id))) << "node " << n;
+  }
   EXPECT_EQ(f.tier.images_drained(), 4);
   EXPECT_EQ(f.tier.drain_backlog(), 0);
   EXPECT_EQ(f.tier.drain_tasks_running(), 0);
