@@ -6,7 +6,7 @@
 #
 # Usage: bench/run_benchmarks.sh [build-dir] [output.json]
 #   build-dir   cmake build tree containing bench/ binaries   (default: build)
-#   output.json snapshot destination                          (default: BENCH_pr10.json)
+#   output.json snapshot destination       (default: bench_results/BENCH.json)
 # Env: GBC_BENCH_MIN_TIME  seconds per microbenchmark case    (default: 2)
 #      GBC_BENCH_REPS      full reruns; gate + snapshot use the per-entry
 #                          median across them                 (default: 3)
@@ -18,7 +18,10 @@
 set -euo pipefail
 
 BUILD=${1:-build}
-OUT=${2:-BENCH_pr10.json}
+# The default output lands in the git-ignored bench_results/, so a bare run
+# never overwrites a committed snapshot; name a BENCH_pr<N>.json explicitly
+# to commit one.
+OUT=${2:-bench_results/BENCH.json}
 MIN_TIME=${GBC_BENCH_MIN_TIME:-2}
 REPS=${GBC_BENCH_REPS:-3}
 
@@ -125,15 +128,22 @@ for rep in $(seq 1 "$REPS"); do
 done
 
 # Regression gate: when a baseline snapshot exists (GBC_BENCH_BASELINE, or
-# the newest committed BENCH_pr*.json other than $OUT), any matched entry
-# whose *median* is more than 10% slower fails the run. The median snapshot
-# is written to $OUT either way.
+# the highest-numbered committed BENCH_pr<N>.json other than $OUT), any
+# matched entry whose *median* is more than 10% slower fails the run. The
+# median snapshot is written to $OUT either way. The baseline goes by PR
+# number, not mtime: a fresh checkout gives every snapshot the same mtime.
 BASELINE=${GBC_BENCH_BASELINE:-}
 if [[ -z "$BASELINE" ]]; then
-  for f in $(ls -t BENCH_pr*.json 2>/dev/null); do
-    if [[ "$f" != "$OUT" ]]; then BASELINE=$f; break; fi
+  best=-1
+  for f in BENCH_pr*.json; do
+    n=${f#BENCH_pr}
+    n=${n%.json}
+    [[ -f "$f" && "$n" =~ ^[0-9]+$ ]] || continue
+    [[ "$f" -ef "$OUT" ]] && continue
+    if ((10#$n > best)); then best=$((10#$n)); BASELINE=$f; fi
   done
 fi
+mkdir -p "$(dirname "$OUT")"
 if [[ -n "$BASELINE" && -f "$BASELINE" ]]; then
   echo "== regression check vs $BASELINE (median of $REPS rep(s)) =="
   python3 "$(dirname "$0")/../scripts/bench_compare.py" \

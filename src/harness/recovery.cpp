@@ -317,7 +317,8 @@ struct AttemptResult {
   std::vector<ckpt::GlobalCheckpoint> completed;  ///< up to the cutoff
   TierLedger ledger;               ///< tier state at the cutoff
   double read_seconds = 0;         ///< slowest rank's image reload
-  sim::Time done = 0;              ///< completion time (uncut attempts)
+  sim::Time done = 0;              ///< completion time (when finished)
+  bool finished = false;           ///< every rank completed by the cutoff
   std::vector<std::uint64_t> final_iterations;
   std::vector<std::uint64_t> final_hashes;
 };
@@ -325,7 +326,8 @@ struct AttemptResult {
 /// Runs one attempt: wire a fresh cluster, start every rank per the restore
 /// plan, run until `cutoff` (or to completion when cutoff < 0 — no fault
 /// interrupts this attempt). A cut-off attempt is aborted afterwards: the
-/// failure unwinds every process.
+/// failure unwinds every process. It may still have finished: every rank
+/// completed at or before the cutoff, so the fault never fires.
 AttemptResult run_attempt(const ClusterPreset& preset,
                           const WorkloadFactory& make,
                           const ckpt::CkptConfig& ckpt_cfg,
@@ -341,7 +343,7 @@ AttemptResult run_attempt(const ClusterPreset& preset,
   for (const auto& req : requests) {
     cluster.checkpoints().request_at(req.at, req.protocol);
   }
-  std::vector<sim::Time> done_at(preset.nranks, 0);
+  std::vector<sim::Time> done_at(preset.nranks, -1);
   std::vector<double> read_at(preset.nranks, 0);
   RestartCtx ctx{&cluster.bus(), &cluster.shared_fs(), &cluster.fabric(),
                  &preset.tier, wl.get()};
@@ -363,6 +365,8 @@ AttemptResult run_attempt(const ClusterPreset& preset,
   if (auto* tier = cluster.tier()) out.ledger = tier->ledger();
   out.read_seconds = *std::max_element(read_at.begin(), read_at.end());
   out.done = *std::max_element(done_at.begin(), done_at.end());
+  out.finished = std::none_of(done_at.begin(), done_at.end(),
+                              [](sim::Time t) { return t < 0; });
   for (int r = 0; r < preset.nranks; ++r) {
     out.final_iterations.push_back(wl->state(r).iteration);
     out.final_hashes.push_back(wl->state(r).hash);
@@ -379,8 +383,6 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
                                const std::vector<CkptRequest>& requests,
                                const FaultPlan& plan) {
   RecoveryResult out;
-  out.failures = static_cast<int>(plan.faults.size());
-  if (!plan.faults.empty()) out.failure_at = plan.faults.front().at;
 
   std::vector<char> failed(preset.nranks, 0);
   const std::vector<CkptRequest> no_requests;
@@ -403,8 +405,9 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
                     restore, resume, /*attach_tier=*/first,
                     fault ? fault->at : sim::Time{-1});
 
-    if (!fault) {
-      // Final attempt: ran to completion.
+    if (!fault || attempt.finished) {
+      // Final attempt: ran to completion. A fault planned after the last
+      // rank finished never fires and ends the replay uncounted.
       out.restart_read_seconds = attempt.read_seconds;
       out.rerun_seconds = sim::to_seconds(attempt.done);
       out.total_seconds = elapsed_seconds + out.rerun_seconds;
@@ -416,7 +419,9 @@ RecoveryResult run_with_faults(const ClusterPreset& preset,
     if (first) {
       completed = std::move(attempt.completed);
       ledger = std::move(attempt.ledger);
+      out.failure_at = fault->at;
     }
+    ++out.failures;
     elapsed_seconds += sim::to_seconds(fault->at);
     failed[fault->rank] = 1;
     for (int r : fault->also_ranks) {

@@ -39,8 +39,8 @@ struct FaultPlan {
 /// Outcome of a failure + restart experiment.
 struct RecoveryResult {
   bool used_checkpoint = false;  ///< false: no completed ckpt, restarted cold
-  int failures = 0;              ///< faults injected (FaultPlan size)
-  sim::Time failure_at = 0;      ///< first fault's time
+  int failures = 0;              ///< faults that fired before completion
+  sim::Time failure_at = 0;      ///< first fault's time (0: none fired)
   double restart_read_seconds = 0;   ///< image reloads of the final restart
   double rerun_seconds = 0;          ///< re-execution after the last restart
   double total_seconds = 0;          ///< Σ fault times + restart + rerun
@@ -62,7 +62,9 @@ struct RecoveryResult {
 /// requests, fires plan.faults[k] into attempt k (attempt 0 is the original
 /// run; each later attempt is a restart), after each fault restores from
 /// the most recent *recoverable* global checkpoint per plan.style, and
-/// finally re-executes to completion. The set of dead nodes accumulates
+/// finally re-executes to completion. An attempt whose ranks all finish by
+/// its fault's time ends the replay: that fault and any later ones never
+/// fire and are not counted. The set of dead nodes accumulates
 /// across faults: once a node died, its local-tier images stay lost for
 /// every later recovery, and restarted attempts take no new checkpoints —
 /// so a second failure can force recovery onto an older (or no) checkpoint.

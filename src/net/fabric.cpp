@@ -14,11 +14,23 @@ ConnectionManager::ConnectionManager(sim::Engine& eng, Fabric& fabric, int n,
       fab_(fabric),
       cfg_(cfg),
       n_(n),
+      peers_(static_cast<std::size_t>(n)),
       locked_(n, false),
       unlock_cv_(eng) {}
 
 ConnectionManager::Conn& ConnectionManager::conn(int a, int b) {
-  return conns_.try_emplace(key(a, b), eng_).first->second;
+  auto [it, inserted] = conns_.try_emplace(key(a, b), eng_);
+  if (inserted) {
+    const Conn* c = &it->second;
+    for (auto [ep, peer] : {std::pair{a, b}, std::pair{b, a}}) {
+      auto& index = peers_[static_cast<std::size_t>(ep)];
+      const auto at = std::lower_bound(
+          index.begin(), index.end(), peer,
+          [](const auto& e, int p) { return e.first < p; });
+      index.insert(at, {peer, c});
+    }
+  }
+  return it->second;
 }
 
 const ConnectionManager::Conn* ConnectionManager::find(int a, int b) const {
@@ -111,12 +123,9 @@ void ConnectionManager::unlock_endpoint(int ep) {
 
 std::vector<int> ConnectionManager::connected_peers(int ep) const {
   std::vector<int> peers;
-  for (const auto& [k, c] : conns_) {
-    if (c.state != ConnState::kConnected) continue;
-    if (k.first == ep) peers.push_back(k.second);
-    if (k.second == ep) peers.push_back(k.first);
+  for (const auto& [peer, c] : peers_[static_cast<std::size_t>(ep)]) {
+    if (c->state == ConnState::kConnected) peers.push_back(peer);
   }
-  std::sort(peers.begin(), peers.end());
   return peers;
 }
 

@@ -220,6 +220,10 @@ class ConnectionManager {
   NetConfig cfg_;
   int n_;
   std::map<Key, Conn> conns_;
+  /// Per-endpoint index into conns_: every peer `ep` ever had a connection
+  /// record with, ascending. conns_ never erases and map nodes are stable,
+  /// so connected_peers() walks one endpoint's degree, not every pair.
+  std::vector<std::vector<std::pair<int, const Conn*>>> peers_;
   std::vector<bool> locked_;
   sim::Condition unlock_cv_;
   std::int64_t setups_ = 0;
@@ -353,7 +357,10 @@ class Fabric {
                                          std::memory_order_relaxed)) {
       }
     }
+    /// A plain load first: the stack is empty for every rank-local flight
+    /// (all of a one-shard run), and a push it misses is taken next time.
     FlightRec* take_all() noexcept {
+      if (head.load(std::memory_order_relaxed) == nullptr) return nullptr;
       return head.exchange(nullptr, std::memory_order_acquire);
     }
   };

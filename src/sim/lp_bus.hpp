@@ -219,7 +219,7 @@ class LpBus {
     std::vector<Bucket> pool;     // recycled buckets (vectors keep capacity)
     /// Cross-shard sends made by this shard since the last barrier. Only
     /// the shard's running thread appends; the coordinator empties it in
-    /// exchange(), after the pool mutex has parked every producer.
+    /// exchange(), after every producer has arrived at the round barrier.
     std::vector<Staged> out;
   };
   struct RpcWait {

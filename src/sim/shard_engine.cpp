@@ -1,7 +1,9 @@
 #include "sim/shard_engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
@@ -22,24 +24,91 @@ Time sat_add(Time a, Time b) noexcept {
   return a + b;
 }
 
+// Spin budgets of the round barrier, sized in EXPERIMENTS.md ("A
+// spin-then-park round barrier"). A worker spins briefly for the next
+// round: long enough to span the gap between two back-to-back pooled
+// rounds of a small model (about 6 us at 32 ranks), short enough that a
+// single-shard stretch parks it instead of burning a CPU. The coordinator
+// spins longer for the workers: a pooled round of a 1024-rank model runs
+// about 100 us, and a parked coordinator adds a wake-up to every round
+// that outlasts the spin.
+constexpr std::chrono::microseconds kWorkerSpin{10};
+constexpr std::chrono::microseconds kCoordinatorSpin{50};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// Polls `ready` for at most `budget`; true as soon as it holds.
+template <typename Ready>
+bool spin_until(Ready ready, std::chrono::microseconds budget) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  for (;;) {
+    for (int i = 0; i < 16; ++i) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+  }
+}
+
 }  // namespace
 
-/// Generation-counted round barrier: the coordinator publishes per-shard
-/// horizons (ends_), workers run their statically-assigned runnable shards
-/// (shard s belongs to worker s % threads), and the coordinator waits for
-/// all of them before the bus's exchange. The mutex hand-off orders every
-/// shard's appends to the bus's outboxes before the coordinator's exchange,
-/// and every exchanged delivery before the next round's execution, so the
-/// outboxes need no atomics; the same hand-off lets a `runnable == 1` round
-/// run a shard inline on the coordinator between pooled rounds.
+/// Generation-counted spin-then-park round barrier. The coordinator
+/// publishes per-shard horizons (ends_) by bumping `generation`; workers run
+/// their statically-assigned runnable shards (shard s belongs to worker
+/// s % threads) and count themselves into `arrived`; the coordinator
+/// exchanges once every worker has arrived. The generation's release/acquire
+/// orders the exchange and the horizons before every worker's round, and the
+/// arrival count's orders every shard's appends to the bus's outboxes before
+/// the next exchange, so the outboxes need no atomics. The same ordering lets
+/// a `runnable == 1` round run a shard inline on the coordinator between
+/// pooled rounds.
+///
+/// Workers wait for the generation on start_cv and the coordinator for the
+/// arrivals on done_cv, both through await(), and whoever makes a wait's
+/// condition true calls wake() after it.
 struct ShardedEngine::Pool {
+  // Written by the coordinator once per round, polled by spinning workers;
+  // `workers_parked` shares its line because the coordinator reads both.
+  alignas(64) std::atomic<std::uint64_t> generation{0};
+  std::atomic<int> workers_parked{0};
+  // Bumped by each worker once per round, polled by the coordinator; the
+  // last arrival reads `coordinator_parked` alongside it.
+  alignas(64) std::atomic<int> arrived{0};
+  std::atomic<int> coordinator_parked{0};
+  // Set before the final generation bump, so a worker sees it on waking.
+  bool stop = false;
   std::mutex m;
   std::condition_variable start_cv;
   std::condition_variable done_cv;
-  std::uint64_t generation = 0;
-  int done = 0;
-  bool stop = false;
   std::vector<std::thread> workers;
+
+  /// Spins until `ready` holds, for at most `budget`, then parks on `cv`.
+  /// The waiter announces itself in `parked` under the mutex before its
+  /// last check; wake() reads `parked` after the store that made `ready`
+  /// hold. Both pairs are seq_cst accesses to two atomics in opposite
+  /// orders, so at least one side sees the other: the waiter sees `ready`
+  /// and never sleeps, or the waker sees the waiter and takes the mutex,
+  /// which the waiter releases only inside wait(). No wake-up is lost, and
+  /// a wait that ends while spinning costs no system call.
+  template <typename Ready>
+  void await(std::condition_variable& cv, std::atomic<int>& parked,
+             Ready ready, std::chrono::microseconds budget) {
+    if (spin_until(ready, budget)) return;
+    std::unique_lock<std::mutex> lk(m);
+    parked.fetch_add(1);
+    while (!ready()) cv.wait(lk);
+    parked.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  void wake(std::condition_variable& cv, const std::atomic<int>& parked) {
+    if (parked.load() == 0) return;
+    std::lock_guard<std::mutex> lk(m);
+    cv.notify_all();
+  }
 };
 
 ShardedEngine::ShardedEngine(const Options& opts) {
@@ -85,32 +154,31 @@ void ShardedEngine::run_shard_window(int s) {
 }
 
 void ShardedEngine::worker_loop(int worker) {
+  Pool& p = *pool_;
+  const int others = threads_ - 1;
   std::uint64_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(pool_->m);
-      pool_->start_cv.wait(
-          lk, [&] { return pool_->stop || pool_->generation != seen; });
-      if (pool_->stop) return;
-      seen = pool_->generation;
-    }
+    p.await(p.start_cv, p.workers_parked,
+            [&] { return p.generation.load() != seen; }, kWorkerSpin);
+    // The coordinator waits for every worker before it publishes again, so
+    // the generation moved by exactly one.
+    ++seen;
+    if (p.stop) return;
     for (int s = worker; s < shards(); s += threads_) {
       if (ends_[s] != 0) run_shard_window(s);
     }
-    {
-      std::lock_guard<std::mutex> lk(pool_->m);
-      if (++pool_->done == threads_ - 1) pool_->done_cv.notify_one();
+    if (p.arrived.fetch_add(1) + 1 == others) {
+      p.wake(p.done_cv, p.coordinator_parked);
     }
   }
 }
 
 void ShardedEngine::stop_pool() {
   if (!pool_) return;
-  {
-    std::lock_guard<std::mutex> lk(pool_->m);
-    pool_->stop = true;
-  }
-  pool_->start_cv.notify_all();
+  // Only called between rounds: every worker is waiting for the next one.
+  pool_->stop = true;
+  pool_->generation.fetch_add(1);
+  pool_->wake(pool_->start_cv, pool_->workers_parked);
   for (auto& w : pool_->workers) w.join();
   pool_.reset();
 }
@@ -187,18 +255,17 @@ void ShardedEngine::run_rounds(Time cap) {
           pool_->workers.emplace_back([this, w] { worker_loop(w); });
         }
       }
-      {
-        std::lock_guard<std::mutex> lk(pool_->m);
-        pool_->done = 0;
-        ++pool_->generation;
-      }
-      pool_->start_cv.notify_all();
+      Pool& p = *pool_;
+      const int others = threads_ - 1;
+      p.arrived.store(0, std::memory_order_relaxed);
+      p.generation.fetch_add(1);
+      p.wake(p.start_cv, p.workers_parked);
       // The coordinator doubles as worker 0.
       for (int s = 0; s < S; s += threads_) {
         if (ends_[s] != 0) run_shard_window(s);
       }
-      std::unique_lock<std::mutex> lk(pool_->m);
-      pool_->done_cv.wait(lk, [&] { return pool_->done == threads_ - 1; });
+      p.await(p.done_cv, p.coordinator_parked,
+              [&] { return p.arrived.load() == others; }, kCoordinatorSpin);
     }
 
     for (auto& sh : shards_) {

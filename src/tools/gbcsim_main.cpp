@@ -495,8 +495,12 @@ int cmd_recover(int argc, const char* const* argv) {
       sim::from_seconds(flags.get_double("fail-at")),
       flags.get_int("failed-rank"));
   std::printf("clean completion      : %8.1f s\n", clean.completion_seconds());
-  std::printf("failure at            : %8.1f s\n",
-              sim::to_seconds(rec.failure_at));
+  if (rec.failures > 0) {
+    std::printf("failure at            : %8.1f s\n",
+                sim::to_seconds(rec.failure_at));
+  } else {
+    std::printf("failure at            : none (the job finished first)\n");
+  }
   std::printf("restored from ckpt    : %s (rollback to iteration %llu)\n",
               rec.used_checkpoint ? "yes" : "no (cold restart)",
               static_cast<unsigned long long>(rec.rollback_iteration));

@@ -117,5 +117,57 @@ TEST(FaultPlan, SecondFailureWithTierLosesMoreImages) {
   EXPECT_EQ(rec.final_hashes, clean.final_hashes);
 }
 
+// A fault planned after the job has finished never fires: the job
+// completes in about 7 s, so a fault at 1000 s must not count as a failure,
+// roll anything back or add its 1000 s to the time to solution.
+TEST(FaultPlan, FaultAfterCompletionNeverFires) {
+  auto preset = small_cluster(8);
+  auto factory = microbench_factory(4, 50);
+  ckpt::CkptConfig cc;
+  cc.group_size = 4;
+  std::vector<CkptRequest> reqs;
+  reqs.push_back(
+      CkptRequest{sim::from_seconds(2), ckpt::Protocol::kGroupBased});
+  const auto undisturbed = run_with_faults(preset, factory, cc, reqs, {});
+
+  FaultPlan plan;
+  plan.faults.push_back(FaultEvent{sim::from_seconds(1000), 3});
+  auto rec = run_with_faults(preset, factory, cc, reqs, plan);
+  EXPECT_EQ(rec.failures, 0);
+  EXPECT_FALSE(rec.used_checkpoint);
+  EXPECT_EQ(rec.rollback_iteration, 0u);
+  EXPECT_LT(undisturbed.total_seconds, 20.0);
+  EXPECT_DOUBLE_EQ(rec.total_seconds, undisturbed.total_seconds);
+  EXPECT_EQ(rec.final_hashes, undisturbed.final_hashes);
+  EXPECT_EQ(rec.final_iterations, undisturbed.final_iterations);
+}
+
+// The same holds for a later attempt: the restart after the first fault
+// finishes before the second fault's time, so only one fault counts and
+// the outcome is the one-fault plan's.
+TEST(FaultPlan, FaultAfterRestartCompletesIsNotCounted) {
+  auto preset = small_cluster(8);
+  auto factory = microbench_factory(4, 50);
+  ckpt::CkptConfig cc;
+  cc.group_size = 4;
+  std::vector<CkptRequest> reqs;
+  reqs.push_back(
+      CkptRequest{sim::from_seconds(2), ckpt::Protocol::kGroupBased});
+  FaultPlan one;
+  one.faults.push_back(FaultEvent{sim::from_seconds(5), 1});
+  const auto single = run_with_faults(preset, factory, cc, reqs, one);
+
+  FaultPlan two = one;
+  two.faults.push_back(FaultEvent{sim::from_seconds(1000), 6});
+  auto rec = run_with_faults(preset, factory, cc, reqs, two);
+  EXPECT_EQ(single.failures, 1);
+  EXPECT_EQ(rec.failures, 1);
+  EXPECT_EQ(rec.failure_at, sim::from_seconds(5));
+  EXPECT_EQ(rec.used_checkpoint, single.used_checkpoint);
+  EXPECT_EQ(rec.rollback_iteration, single.rollback_iteration);
+  EXPECT_DOUBLE_EQ(rec.total_seconds, single.total_seconds);
+  EXPECT_EQ(rec.final_hashes, single.final_hashes);
+}
+
 }  // namespace
 }  // namespace gbc::harness

@@ -125,7 +125,9 @@ TEST(Recovery, HplSurvivesMidFactorizationFailure) {
   workloads::HplConfig hc;
   hc.grid_p = 4;
   hc.grid_q = 2;
-  hc.n = 6000;
+  // Large enough that the job outlasts the fault (clean run ~17 s): at
+  // n = 6000 the job finished before it and the fault never fired.
+  hc.n = 9000;
   hc.nb = 200;
   hc.base_footprint_mib = 32.0;
   WorkloadFactory factory = [hc](int n) {
@@ -143,6 +145,7 @@ TEST(Recovery, HplSurvivesMidFactorizationFailure) {
   auto rec = run_with_failure(
       preset, factory, cc, reqs,
       sim::from_seconds(clean.completion_seconds() * 0.3 + 6.0));
+  EXPECT_EQ(rec.failures, 1);
   EXPECT_TRUE(rec.used_checkpoint);
   EXPECT_EQ(rec.final_hashes, clean.final_hashes);
 }

@@ -2,13 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/lp_bus.hpp"
+#include "sim/task.hpp"
 #include "sim/time.hpp"
 
 namespace gbc::sim {
@@ -285,6 +288,137 @@ TEST(ShardedEngine, NonPowerOfTwoShardAndThreadCounts) {
   EXPECT_EQ(serial, threaded);
   for (const auto& l : serial) {
     EXPECT_EQ(l.size(), 4u);
+  }
+}
+
+// The round barrier under both of its waits. Each phase is a long
+// single-shard stretch on shard 0 (every round runs it inline, so the
+// workers run out of spin and park) followed by an all-shard burst: four
+// ring chains hop in lockstep, so every round runs all four shards on the
+// pool, and one hop on shard 3 (never the coordinator's) outlasts the
+// coordinator's spin so it parks too. Logs and engine counters must not
+// depend on the thread count.
+struct BarrierCtx {
+  LpBus* bus = nullptr;
+  std::vector<std::vector<std::pair<Time, int>>> logs;  // per shard
+};
+
+constexpr int kPhases = 6;
+constexpr int kStretchTicks = 300;
+constexpr int kBurstHops = 8;  // a multiple of 4: shard 0's chain ends home
+
+void stretch(BarrierCtx* c, Engine* eng, int phase, int k);
+
+void burst_hop(BarrierCtx* c, int s, int phase, int n) {
+  Engine& eng = c->bus->engine_of(s);
+  c->logs[static_cast<std::size_t>(s)].emplace_back(eng.now(),
+                                                    -(phase * 100 + n));
+  if (s == 3 && n == kBurstHops / 2) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  if (n == 0) {
+    if (s == 0 && phase + 1 < kPhases) {
+      eng.schedule_after(3, [c, e = &eng, phase] {
+        stretch(c, e, phase + 1, kStretchTicks);
+      });
+    }
+    return;
+  }
+  const int dst = (s + 1) % 4;
+  c->bus->send(s, dst, [c, dst, phase, n] { burst_hop(c, dst, phase, n - 1); });
+}
+
+void stretch(BarrierCtx* c, Engine* eng, int phase, int k) {
+  c->logs[0].emplace_back(eng->now(), phase * 1000 + k);
+  if (k % 64 == 0) std::this_thread::sleep_for(std::chrono::microseconds(20));
+  if (k > 0) {
+    eng->schedule_after(15, [c, eng, phase, k] {
+      stretch(c, eng, phase, k - 1);
+    });
+    return;
+  }
+  for (int s = 0; s < 4; ++s) {
+    c->bus->send(0, s, [c, s, phase] { burst_hop(c, s, phase, kBurstHops); });
+  }
+}
+
+struct BarrierRun {
+  std::vector<std::vector<std::pair<Time, int>>> logs;
+  std::uint64_t rounds = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t cross_events = 0;
+};
+
+BarrierRun run_barrier_phases(int threads) {
+  ShardedEngine se(sharded(4, 10, threads));
+  LpBus bus(se, 4, 10);
+  BarrierCtx ctx;
+  ctx.bus = &bus;
+  ctx.logs.resize(4);
+  Engine* e0 = &se.shard(0);
+  e0->schedule_at(0, [&ctx, e0] { stretch(&ctx, e0, 0, kStretchTicks); });
+  se.run();
+  return {std::move(ctx.logs), se.rounds(), se.windows(), se.cross_events()};
+}
+
+TEST(ShardedEngine, BarrierParksAndWakesAcrossSingleShardStretches) {
+  const BarrierRun inline_run = run_barrier_phases(1);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    const BarrierRun pooled = run_barrier_phases(threads);
+    EXPECT_EQ(pooled.logs, inline_run.logs);
+    EXPECT_EQ(pooled.rounds, inline_run.rounds);
+    EXPECT_EQ(pooled.windows, inline_run.windows);
+    EXPECT_EQ(pooled.cross_events, inline_run.cross_events);
+  }
+  // Every tick and hop ran: the four chains visit each shard
+  // kBurstHops + 1 times per phase. Shard 0's sends to itself stay off the
+  // exchange, so a phase moves 3 + 4 * kBurstHops cross-shard messages.
+  const auto hops = static_cast<std::size_t>(kPhases * (kBurstHops + 1));
+  EXPECT_EQ(inline_run.logs[0].size(),
+            static_cast<std::size_t>(kPhases * (kStretchTicks + 1)) + hops);
+  for (int s = 1; s < 4; ++s) {
+    EXPECT_EQ(inline_run.logs[static_cast<std::size_t>(s)].size(), hops);
+  }
+  EXPECT_GT(inline_run.rounds,
+            static_cast<std::uint64_t>(kPhases * kStretchTicks / 2));
+  EXPECT_EQ(inline_run.cross_events,
+            static_cast<std::uint64_t>(kPhases * (3 + 4 * kBurstHops)));
+}
+
+// A simulated process on shard 3, which only a pool worker runs at 2 or 4
+// threads, throws in the middle of an all-shard round. run() must rethrow
+// it on the caller once the round's barrier completes, stop the pool, and
+// leave an engine that destroys cleanly with the other shards' traffic
+// still pending.
+Task<void> failing_process(Engine& eng) {
+  co_await eng.delay(55);
+  throw std::runtime_error("shard 3 failed");
+}
+
+TEST(ShardedEngine, WorkerShardErrorIsRethrown) {
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    ShardedEngine se(sharded(4, 10, threads));
+    LpBus bus(se, 4, 10);
+    ChainCtx ctx;
+    ctx.bus = &bus;
+    ctx.logs.resize(4);
+    for (int s = 0; s < 4; ++s) {
+      se.shard(s).schedule_at(0, [&ctx, s] { hop(&ctx, s, 1000); });
+    }
+    se.shard(3).spawn(failing_process(se.shard(3)));
+    try {
+      se.run();
+      ADD_FAILURE() << "run() returned without rethrowing";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 3 failed");
+    }
+    // The error surfaced in the round that threw (t = 55 lies in the
+    // sixth), long before the rings drained; their next hops stay staged
+    // in the bus and are dropped with it.
+    EXPECT_EQ(se.rounds(), 6u);
+    EXPECT_LT(se.cross_events(), 4u * 1000u);
   }
 }
 
