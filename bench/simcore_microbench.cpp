@@ -155,20 +155,20 @@ void BM_MpiPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MpiPingPong);
 
-// Per-message allocation churn in isolation, as the MPI layer pays it: the
+// Per-message record churn in isolation, as the MPI layer pays it: the
 // envelope copied into a by-value wire body (RankCtx::to_packet) plus one
-// make_shared request record (RankCtx::make_request). The wire body is
-// inline storage, so the request record is the one heap allocation per
-// message and this times the global allocator. The BENCH_pr*.json
-// snapshots timed an arena-recycled record instead and do not compare.
+// request record from the rank's free list (RankCtx::make_request). Both
+// are recycled storage, so a warm loop touches no heap. The BENCH_pr*.json
+// snapshots timed an arena-recycled record and do not compare.
 void BM_MsgAlloc(benchmark::State& state) {
   sim::Engine eng;
+  mpi::RequestPool reqs(eng);
   mpi::Envelope env{0, 0, 1, 0, 4096, nullptr, 0};
   benchmark::DoNotOptimize(env);  // opaque input: no constant folding
   for (auto _ : state) {
     for (int i = 0; i < 1000; ++i) {
       net::WireBody body = net::WireBody::make<mpi::Envelope>(env);
-      auto req = std::make_shared<mpi::ReqState>(eng);
+      mpi::Request req = reqs.make();
       req->is_recv = false;
       benchmark::DoNotOptimize(body.get<mpi::Envelope>().id);
       benchmark::DoNotOptimize(req->done);

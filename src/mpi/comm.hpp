@@ -1,8 +1,9 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace gbc::mpi {
@@ -15,9 +16,10 @@ class Comm {
  public:
   Comm(std::uint64_t id, std::vector<int> members)
       : id_(id), members_(std::move(members)) {
-    for (int i = 0; i < static_cast<int>(members_.size()); ++i) {
-      world_to_comm_[members_[i]] = i;
-    }
+    by_world_.reserve(members_.size());
+    for (int i = 0; i < size(); ++i) by_world_.push_back({members_[i], i});
+    std::sort(by_world_.begin(), by_world_.end(),
+              [](const Entry& a, const Entry& b) { return a.world < b.world; });
   }
 
   std::uint64_t id() const noexcept { return id_; }
@@ -30,20 +32,26 @@ class Comm {
     return members_[comm_rank];
   }
 
-  /// Comm rank of the given world rank, or -1 if not a member.
+  /// Comm rank of the given world rank, or -1 if not a member. Runs once
+  /// per completed receive, so it is a binary search over a flat index.
   int comm_rank(int world_rank) const {
-    auto it = world_to_comm_.find(world_rank);
-    return it == world_to_comm_.end() ? -1 : it->second;
+    auto it = std::lower_bound(
+        by_world_.begin(), by_world_.end(), world_rank,
+        [](const Entry& e, int w) { return e.world < w; });
+    return it != by_world_.end() && it->world == world_rank ? it->rank : -1;
   }
 
-  bool contains(int world_rank) const {
-    return world_to_comm_.count(world_rank) != 0;
-  }
+  bool contains(int world_rank) const { return comm_rank(world_rank) >= 0; }
 
  private:
+  struct Entry {
+    int world;
+    int rank;
+  };
+
   std::uint64_t id_;
   std::vector<int> members_;
-  std::unordered_map<int, int> world_to_comm_;
+  std::vector<Entry> by_world_;  // (world rank, comm rank), by world rank
 };
 
 }  // namespace gbc::mpi

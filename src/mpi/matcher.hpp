@@ -40,10 +40,9 @@ class Matcher {
   /// removes and returns the match, or nullptr.
   Request match_posted(const Envelope& env) {
     for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-      const Request& req = *it;
-      if (envelope_matches(env, req->comm_id, req->match_src,
-                           req->match_tag)) {
-        Request r = req;
+      const ReqState& req = **it;
+      if (envelope_matches(env, req.comm_id, req.match_src, req.match_tag)) {
+        Request r = std::move(*it);
         posted_.erase(it);
         return r;
       }

@@ -31,12 +31,12 @@ MiniMPI::MiniMPI(sim::Engine& eng, net::Fabric& fabric, MpiConfig cfg)
     fabric_.set_receiver(
         r, [ctx = ranks_.back().get()](net::Packet& p) { ctx->on_packet(p); });
   }
-  comms_.push_back(std::make_unique<Comm>(comm_counter_++, world_members));
+  comms_.push_back(std::make_unique<Comm>(0, world_members));
 }
 
 const Comm& MiniMPI::create_comm(std::vector<int> members) {
-  comms_.push_back(
-      std::make_unique<Comm>(comm_counter_++, std::move(members)));
+  // A comm's id is its index in comms_ (find_comm relies on it).
+  comms_.push_back(std::make_unique<Comm>(comms_.size(), std::move(members)));
   return *comms_.back();
 }
 
@@ -57,10 +57,7 @@ std::vector<const Comm*> MiniMPI::split(const Comm& parent,
 }
 
 const Comm* MiniMPI::find_comm(std::uint64_t id) const {
-  for (const auto& c : comms_) {
-    if (c->id() == id) return c.get();
-  }
-  return nullptr;
+  return id < comms_.size() ? comms_[id].get() : nullptr;
 }
 
 void MiniMPI::set_gate(CommGate* gate) {
@@ -134,6 +131,7 @@ RankCtx::RankCtx(MiniMPI& mpi, int world_rank)
       rank_(world_rank),
       eng_(mpi.fabric().bus().engine_of(world_rank)),
       exec_(std::make_unique<sim::Pausable>(eng_)),
+      reqs_(eng_),
       any_complete_(eng_) {}
 
 int RankCtx::nranks() const noexcept { return mpi_.nranks(); }
@@ -151,8 +149,7 @@ void RankCtx::record_arrival(std::uint64_t id) {
 }
 
 Request RankCtx::make_request(bool is_recv) {
-  // One allocation covers control block + ReqState + its condition variable.
-  auto req = std::make_shared<ReqState>(engine());
+  Request req = reqs_.make();
   req->is_recv = is_recv;
   return req;
 }

@@ -245,6 +245,8 @@ class RankCtx {
   int rank_;
   sim::Engine& eng_;  // this rank's home engine
   std::unique_ptr<sim::Pausable> exec_;
+  // Declared before every member that holds a Request, so it outlives them.
+  RequestPool reqs_;
   Matcher matcher_;
   std::map<int, Outbound> outbound_;
   // Open rendezvous requests (sends awaiting FIN, receives awaiting RDMA
@@ -289,6 +291,8 @@ class MiniMPI {
   /// end up in one communicator, ordered by parent comm rank.
   std::vector<const Comm*> split(const Comm& parent,
                                  const std::vector<int>& colors);
+  /// The communicator with this id, or null. Ids count up from 0 (world)
+  /// in creation order, so this is an index.
   const Comm* find_comm(std::uint64_t id) const;
 
   void set_gate(CommGate* gate);
@@ -324,7 +328,6 @@ class MiniMPI {
   std::vector<std::unique_ptr<Comm>> comms_;
   CommGate* gate_ = nullptr;
   std::vector<MpiHooks*> hook_of_;
-  std::uint64_t comm_counter_ = 0;
 };
 
 }  // namespace gbc::mpi

@@ -1,10 +1,14 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/condition.hpp"
+#include "sim/pool.hpp"
 #include "sim/time.hpp"
 #include "storage/storage.hpp"
 
@@ -67,12 +71,13 @@ struct Envelope {
   std::uint32_t recv_slot = 0;
 };
 
+class RequestPool;
+
 /// Request state shared between the app coroutine and the progress engine.
-/// Requests are created at message rate, so the condition variable is a
-/// direct member: make_shared places control block, record and condition
-/// in one allocation.
+/// A record is created, waited on and completed on its rank's shard only,
+/// so its reference count is a plain integer (see Request).
 struct ReqState {
-  explicit ReqState(sim::Engine& eng) : cv(eng) {}
+  ReqState(sim::Engine& eng, RequestPool* home) : cv(eng), home_(home) {}
   bool done = false;
   bool is_recv = false;
   // Matching criteria for posted receives (world-rank source or kAnySource).
@@ -81,9 +86,109 @@ struct ReqState {
   Tag match_tag = kAnyTag;
   RecvInfo info;
   sim::Condition cv;
+
+ private:
+  friend class Request;
+  RequestPool* home_;  // where the record goes when its last handle dies
+  std::uint32_t refs_ = 0;
 };
 
-using Request = std::shared_ptr<ReqState>;
+/// Shard-local counted handle to a ReqState, with the surface of a
+/// shared_ptr: ->, copy, bool, nullptr. Dropping the last handle hands the
+/// record back to the RequestPool that made it. Handles must stay on the
+/// record's shard; nothing on the message path copies one across shards.
+class Request {
+ public:
+  Request() noexcept = default;
+  Request(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  Request(const Request& o) noexcept : s_(o.s_) {
+    if (s_ != nullptr) ++s_->refs_;
+  }
+  Request(Request&& o) noexcept : s_(std::exchange(o.s_, nullptr)) {}
+  Request& operator=(Request o) noexcept {
+    std::swap(s_, o.s_);
+    return *this;
+  }
+  inline ~Request();
+
+  ReqState* operator->() const noexcept { return s_; }
+  ReqState& operator*() const noexcept { return *s_; }
+  explicit operator bool() const noexcept { return s_ != nullptr; }
+  friend bool operator==(const Request&, const Request&) = default;
+  friend bool operator==(const Request& r, std::nullptr_t) noexcept {
+    return r.s_ == nullptr;
+  }
+
+ private:
+  friend class RequestPool;
+  explicit Request(ReqState* s) noexcept : s_(s) { ++s_->refs_; }
+  ReqState* s_ = nullptr;
+};
+
+/// Recycles one rank's request records: an exact-size free list, filled as
+/// records come home and freed with the pool. It belongs to the rank (so it
+/// lives on that rank's shard) and must outlive every handle it made that
+/// will still be dropped. With GBC_POOLS_PASSTHROUGH each record is a plain
+/// new/delete, like the other recyclers.
+class RequestPool {
+ public:
+  explicit RequestPool(sim::Engine& eng) : eng_(&eng) {}
+  RequestPool(const RequestPool&) = delete;
+  RequestPool& operator=(const RequestPool&) = delete;
+  ~RequestPool() {
+    while (Slot* s = free_) {
+      free_ = s->next;
+      delete s;
+    }
+  }
+
+  /// A fresh record (done = false, no waiters) bound to the pool's engine.
+  Request make() {
+#if GBC_POOLS_PASSTHROUGH
+    ReqState* r = new ReqState(*eng_, this);
+#else
+    Slot* s = free_;
+    if (s != nullptr) {
+      free_ = s->next;
+    } else {
+      s = new Slot;
+    }
+    ReqState* r = ::new (static_cast<void*>(s->raw)) ReqState(*eng_, this);
+#endif
+    ++outstanding_;
+    return Request(r);
+  }
+
+  /// Records made and not yet handed back.
+  std::size_t outstanding() const noexcept { return outstanding_; }
+
+ private:
+  friend class Request;
+  union Slot {
+    Slot* next;
+    alignas(ReqState) std::byte raw[sizeof(ReqState)];
+  };
+
+  void release(ReqState* r) noexcept {
+    --outstanding_;
+#if GBC_POOLS_PASSTHROUGH
+    delete r;
+#else
+    r->~ReqState();
+    Slot* s = reinterpret_cast<Slot*>(r);
+    s->next = free_;
+    free_ = s;
+#endif
+  }
+
+  sim::Engine* eng_;
+  Slot* free_ = nullptr;
+  std::size_t outstanding_ = 0;
+};
+
+inline Request::~Request() {
+  if (s_ != nullptr && --s_->refs_ == 0) s_->home_->release(s_);
+}
 
 /// Reduction operators for reduce/allreduce.
 enum class Op : std::uint8_t { kSum, kMax, kMin, kProd };

@@ -2,44 +2,16 @@
 
 namespace gbc::sim {
 
-Task<bool> Condition::wait_for(Time timeout) {
-  // Race a timer against the condition; whichever settles the shared state
-  // first wins, the loser finds `settled` already true and does nothing.
-  auto state = eng_->make_suspend_state();
-  bool notified = false;
-
-  struct RaceAwaiter {
-    Condition& cv;
-    Time timeout;
-    std::shared_ptr<SuspendState>& state;
-    bool& notified;
-
-    bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
-      state->handle = h;
-      cv.eng_->register_suspension(state);
-      cv.waiters_.push_back(state);
-      auto s = state;
-      bool* notified_flag = &notified;
-      // The notify path goes through Engine::wake which sets settled before
-      // the resume fires, so mark `notified` from a same-time probe: if the
-      // timer finds the state already settled, the notify won.
-      cv.eng_->schedule_after(timeout, [s, notified_flag] {
-        if (s->settled) return;  // notify already scheduled the resume
-        s->settled = true;
-        *notified_flag = false;
-        if (s->alive) s->handle.resume();
-      });
-      *notified_flag = true;  // default: if notify fires the wake, true holds
-    }
-    void await_resume() const {
-      state->alive = false;
-      if (cv.eng_->aborted()) throw SimAborted{};
-    }
-  };
-
-  co_await RaceAwaiter{*this, timeout, state, notified};
-  co_return notified;
+void Condition::WaitForAwaiter::await_suspend(std::coroutine_handle<> h) {
+  cv.enqueue(rec, h);
+  // Race a timer against the condition. A notify that dequeues the record
+  // first disarms this event, so when it runs the timer has won.
+  rec.timer = cv.eng_->arm(timeout, [s = &rec, c = &cv] {
+    s->timer = Suspension::kNoTimer;
+    s->timed_out = true;
+    c->waiters_.erase(*s);
+    s->handle.resume();
+  });
 }
 
 }  // namespace gbc::sim

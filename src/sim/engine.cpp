@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -45,20 +44,27 @@ std::uint32_t Engine::acquire_slot(InlineFn fn) {
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
-void Engine::schedule_at(Time t, InlineFn fn) {
+std::uint32_t Engine::push(Time t, std::uint64_t seq, InlineFn fn) {
   assert(t >= now_ && "scheduling into the past");
-  queue_.push(QueuedEvent{t < now_ ? now_ : t, next_seq_++,
-                          acquire_slot(std::move(fn))});
+  const std::uint32_t slot = acquire_slot(std::move(fn));
+  queue_.push(QueuedEvent{t < now_ ? now_ : t, seq, slot});
+  return slot;
+}
+
+void Engine::schedule_at(Time t, InlineFn fn) {
+  push(t, next_seq_++, std::move(fn));
 }
 
 void Engine::schedule_after(Time delay, InlineFn fn) {
-  schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  arm(delay, std::move(fn));
 }
 
 void Engine::schedule_at_back(Time t, InlineFn fn) {
-  assert(t >= now_ && "scheduling into the past");
-  queue_.push(QueuedEvent{t < now_ ? now_ : t, next_seq_++ | kBackBand,
-                          acquire_slot(std::move(fn))});
+  push(t, next_seq_++ | kBackBand, std::move(fn));
+}
+
+std::uint32_t Engine::arm(Time delay, InlineFn fn) {
+  return push(now_ + (delay < 0 ? 0 : delay), next_seq_++, std::move(fn));
 }
 
 void Engine::spawn(Task<void> body) {
@@ -103,58 +109,23 @@ void Engine::run_until(Time t) {
 
 void Engine::abort_all() {
   aborted_ = true;
-  // Resuming a suspension can cause other suspensions to deregister or new
-  // (immediately-throwing) ones to appear, so drain by repeated sweeps; any
-  // suspensions registered during a sweep land in the fresh vector and are
-  // handled by the next one.
-  bool progressed = true;
-  while (progressed) {
-    progressed = false;
-    std::vector<std::weak_ptr<SuspendState>> batch;
-    batch.swap(suspensions_);
-    for (auto& w : batch) {
-      auto sp = w.lock();
-      if (sp && sp->alive && !sp->settled) {
-        sp->settled = true;
-        progressed = true;
-        sp->handle.resume();
-      }
-    }
-  }
-  // Drop any queued callbacks; their targets checked `alive` anyway.
+  // Resuming a record unwinds its frame, which can park new (immediately
+  // throwing) records; they join the back of the list and are woken in
+  // turn, after every record parked before them.
+  while (Suspension* s = parked_.pop_front()) s->handle.resume();
+  // Drop any queued callbacks: wakes and timers of records resumed above
+  // hold pointers into frames that are gone now.
   queue_.clear();
   slots_.clear();
   free_slots_.clear();
 }
 
-void Engine::register_suspension(const std::shared_ptr<SuspendState>& s) {
-  suspensions_.push_back(s);
-  if (--prune_countdown_ <= 0) {
-    std::erase_if(suspensions_,
-                  [](const std::weak_ptr<SuspendState>& w) {
-                    return w.expired();
-                  });
-    // Amortized: the next prune is at least half a vector's worth of
-    // registrations away, so pruning stays O(1) per registration even when
-    // most entries are long-lived.
-    prune_countdown_ =
-        std::max<int>(256, static_cast<int>(suspensions_.size()));
-  }
-}
-
 void Engine::DelayAwaiter::await_suspend(std::coroutine_handle<> h) {
-  state = eng.make_suspend_state();
-  state->handle = h;
-  eng.register_suspension(state);
-  // Raw capture, not a shared_ptr copy: the awaiter's reference keeps the
-  // record alive while the coroutine is suspended, the callback never
-  // touches it after resume(), and a callback dropped unrun (abort_all /
-  // teardown clears the queue) destroys only the pointer.
-  eng.schedule_after(delay, [s = state.get()] {
-    if (s->settled) return;
-    s->settled = true;
-    if (s->alive) s->handle.resume();
-  });
+  rec.handle = h;
+  eng.park(rec);
+  // The record lives in the suspended frame until this timer (or
+  // abort_all, which drops the timer unrun) resumes it.
+  eng.schedule_after(delay, [s = &rec] { s->handle.resume(); });
 }
 
 }  // namespace gbc::sim

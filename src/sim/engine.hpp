@@ -2,7 +2,7 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -13,13 +13,55 @@
 
 namespace gbc::sim {
 
-// Shared suspension record. Every leaf awaitable (timer wait, condition wait)
-// owns one of these; the engine keeps a weak reference so abort_all() can
-// wake every parked coroutine with the abort flag raised.
-struct SuspendState {
+/// Suspension record of one parked coroutine. It lives inside the awaiter
+/// that parked it, which sits in the suspended coroutine's frame, so parking
+/// allocates nothing. While parked, the record is listed on its engine's
+/// abort list (so abort_all() can wake it with the abort flag raised); a
+/// condition wait also queues it on the condition's FIFO of waiters. A
+/// record never leaves its engine's shard, so every link is a plain pointer.
+struct Suspension {
+  struct Links {
+    Suspension* prev = nullptr;
+    Suspension* next = nullptr;
+    bool linked = false;
+  };
+  static constexpr std::uint32_t kNoTimer = ~std::uint32_t{0};
+
   std::coroutine_handle<> handle{};
-  bool settled = false;  // a wake has been delivered (or is scheduled)
-  bool alive = true;     // awaiter frame still exists
+  Links parked;  // the engine's abort list
+  Links queued;  // the condition's FIFO of waiters
+  std::uint32_t timer = kNoTimer;  // event slot of a pending wait_for timer
+  bool timed_out = false;          // a wait_for's timer won the race
+};
+
+/// Intrusive FIFO of suspension records through one of their Links fields.
+template <Suspension::Links Suspension::*L>
+class SuspensionList {
+ public:
+  void push_back(Suspension& s) noexcept {
+    Suspension::Links& l = s.*L;
+    l.prev = tail_;
+    l.next = nullptr;
+    l.linked = true;
+    (tail_ ? (tail_->*L).next : head_) = &s;
+    tail_ = &s;
+  }
+  void erase(Suspension& s) noexcept {
+    Suspension::Links& l = s.*L;
+    (l.prev ? (l.prev->*L).next : head_) = l.next;
+    (l.next ? (l.next->*L).prev : tail_) = l.prev;
+    l.linked = false;
+  }
+  /// Unlinks and returns the oldest record, or nullptr when empty.
+  Suspension* pop_front() noexcept {
+    Suspension* s = head_;
+    if (s != nullptr) erase(*s);
+    return s;
+  }
+
+ private:
+  Suspension* head_ = nullptr;
+  Suspension* tail_ = nullptr;
 };
 
 /// Deterministic single-threaded discrete-event engine. Events fire in
@@ -85,45 +127,47 @@ class Engine {
   void internal_process_exit() { --live_; }
 
   // --- used by awaitable primitives ---
-  void register_suspension(const std::shared_ptr<SuspendState>& s);
-  std::shared_ptr<SuspendState> make_suspend_state() {
-    return std::make_shared<SuspendState>();
+  /// Lists a suspended coroutine's record for abort_all().
+  void park(Suspension& s) noexcept { parked_.push_back(s); }
+  /// Takes a resumed record off the abort list (abort_all() already has).
+  void unpark(Suspension& s) noexcept {
+    if (s.parked.linked) parked_.erase(s);
   }
-  /// Schedules the resume of a settled suspension at the current time.
-  void wake(const std::shared_ptr<SuspendState>& s) { wake_impl(s); }
-  /// Move form: steals the caller's reference instead of bumping the count
-  /// (the wake callback is what keeps the state alive).
-  void wake(std::shared_ptr<SuspendState>&& s) { wake_impl(std::move(s)); }
+  /// Schedules the resume of a parked record at the current time.
+  void wake(Suspension& s) {
+    schedule_now([p = &s] { p->handle.resume(); });
+  }
+  /// Schedules fn after `delay` and returns its event slot for disarm().
+  std::uint32_t arm(Time delay, InlineFn fn);
+  /// Turns the queued, not yet fired event in `slot` (from arm()) into a
+  /// no-op. It still fires, so event counts and now() do not move.
+  void disarm(std::uint32_t slot) { slots_[slot] = InlineFn([] {}); }
 
   /// Awaitable: suspends the current coroutine for `delay` sim-time.
-  auto delay(Time d) { return DelayAwaiter{*this, d, nullptr}; }
-  auto delay_until(Time t) { return DelayAwaiter{*this, t - now_, nullptr}; }
+  auto delay(Time d) { return DelayAwaiter{*this, d}; }
+  auto delay_until(Time t) { return DelayAwaiter{*this, t - now_}; }
 
   struct DelayAwaiter {
-    Engine& eng;
-    Time delay;
-    std::shared_ptr<SuspendState> state;
+    DelayAwaiter(Engine& e, Time d) noexcept : eng(e), delay(d) {}
+    DelayAwaiter(const DelayAwaiter&) = delete;
+    DelayAwaiter& operator=(const DelayAwaiter&) = delete;
+    ~DelayAwaiter() { eng.unpark(rec); }
 
     bool await_ready() const noexcept {
       return delay <= 0 && !eng.aborted_;
     }
     void await_suspend(std::coroutine_handle<> h);
-    void await_resume() {
-      if (state) state->alive = false;
+    void await_resume() const {
       if (eng.aborted_) throw SimAborted{};
     }
+
+    Engine& eng;
+    Time delay;
+    Suspension rec;
   };
 
  private:
-  template <typename Ptr>
-  void wake_impl(Ptr&& s) {
-    if (s->settled) return;
-    s->settled = true;
-    schedule_now([s = std::forward<Ptr>(s)] {
-      if (s->alive) s->handle.resume();
-    });
-  }
-
+  std::uint32_t push(Time t, std::uint64_t seq, InlineFn fn);
   void step(const QueuedEvent& ev);
   std::uint32_t acquire_slot(InlineFn fn);
 
@@ -133,14 +177,13 @@ class Engine {
   EventQueue queue_;
   std::vector<InlineFn> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::weak_ptr<SuspendState>> suspensions_;
+  SuspensionList<&Suspension::parked> parked_;  // every parked coroutine
   std::vector<std::exception_ptr> errors_;
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_ = 0;
   int live_ = 0;
   bool aborted_ = false;
-  int prune_countdown_ = 256;
 };
 
 }  // namespace gbc::sim

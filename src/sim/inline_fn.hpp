@@ -17,10 +17,10 @@ namespace gbc::sim {
 class InlineFn {
  public:
   /// Holds the common hot-path callables inline: the fabric sends a
-  /// one-pointer FlightDeliver record, an engine wake captures one
-  /// shared_ptr, and bus messages capture a few pointers. A bus send stores
-  /// its InlineFn by value in a settle bucket or outbox entry and never
-  /// wraps it, so no hot path nests one InlineFn inside another.
+  /// one-pointer FlightDeliver record, an engine wake captures one pointer
+  /// to a suspension record, and bus messages capture a few pointers. A bus
+  /// send stores its InlineFn by value in a settle bucket or outbox entry
+  /// and never wraps it, so no hot path nests one InlineFn inside another.
   static constexpr std::size_t kCapacity = 64;
 
   InlineFn() noexcept = default;

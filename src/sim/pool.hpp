@@ -8,10 +8,11 @@
 #include <utility>
 #include <vector>
 
-// The two recyclers on the simulation hot path. Each stays because switching
-// it off made the failure-recovery benchmark slower (EXPERIMENTS.md, "Two
-// recyclers"); suspension and request records, whose size-class arena did
-// not pay, are plain make_shared allocations.
+// The two generic recyclers on the simulation hot path. Each stays because
+// switching it off made the failure-recovery benchmark slower
+// (EXPERIMENTS.md, "Two recyclers"). Suspension records need no recycler:
+// each lives in its awaiter, inside the suspended frame (sim/engine.hpp).
+// Request records come from their rank's mpi::RequestPool free list.
 //
 //  - Pool<T>: typed slab allocator, no locking. The fabric keeps one per
 //    shard for its flight records and hands cross-shard releases home
@@ -24,7 +25,8 @@
 //    that migration cannot pile up.
 //
 // Defining GBC_POOLS_PASSTHROUGH=1 (automatic under AddressSanitizer) turns
-// both into plain new/delete, so recycling cannot mask use-after-free bugs.
+// both, and mpi::RequestPool, into plain new/delete, so recycling cannot
+// mask use-after-free bugs.
 #if defined(__SANITIZE_ADDRESS__)
 #define GBC_POOLS_PASSTHROUGH 1
 #elif defined(__has_feature)

@@ -1,14 +1,15 @@
 // Unit tests for the per-rank matching engine extracted from MiniMPI: MPI
 // matching rules (communicator, source/tag wildcards), post-order and
 // arrival-order preference, and the posted/unexpected queue lifecycles —
-// exercised in isolation, with no fabric or progress engine attached.
+// exercised in isolation, with no fabric or progress engine attached. The
+// RequestPool tests cover the handles it queues: counting, comparison, and
+// a record's way home when a frame holding its last handle aborts.
 #include "mpi/matcher.hpp"
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "sim/engine.hpp"
+#include "sim/task.hpp"
 
 namespace gbc::mpi {
 namespace {
@@ -27,11 +28,12 @@ Envelope env(int src, Tag tag, std::uint64_t comm = kComm, Bytes bytes = 64) {
 
 struct MatcherTest : ::testing::Test {
   sim::Engine eng;
+  RequestPool reqs{eng};
   Matcher m;
 
   Request make_recv(int match_src, Tag match_tag,
                     std::uint64_t comm = kComm) {
-    auto r = std::make_shared<ReqState>(eng);
+    Request r = reqs.make();
     r->is_recv = true;
     r->comm_id = comm;
     r->match_src = match_src;
@@ -117,6 +119,50 @@ TEST_F(MatcherTest, PostedAndUnexpectedAreIndependentPerCommunicator) {
   EXPECT_FALSE(m.take_unexpected(kComm, kAnySource, kAnyTag).has_value());
   EXPECT_EQ(m.posted_count(), 1u);
   EXPECT_EQ(m.unexpected_count(), 1u);
+}
+
+// A frame that holds the last handle to a request and waits on its
+// condition unwinds once at abort: the waiter leaves the record's queue
+// before the frame drops the handle and the record goes home.
+TEST(RequestPool, FrameHoldingTheLastHandleReleasesItAtAbort) {
+  sim::Engine eng;
+  RequestPool reqs(eng);
+  struct Unwound {
+    int* n;
+    ~Unwound() { ++*n; }
+  };
+  int unwound = 0;
+  eng.spawn([](Request req, int& n) -> sim::Task<void> {
+    Unwound u{&n};
+    while (!req->done) co_await req->cv.wait();
+  }(reqs.make(), unwound));
+  eng.run_until(10);
+  EXPECT_EQ(reqs.outstanding(), 1u);
+  eng.abort_all();
+  EXPECT_EQ(unwound, 1);
+  EXPECT_EQ(eng.live_processes(), 0);
+  EXPECT_EQ(reqs.outstanding(), 0u);
+  // The recycled record comes back fresh.
+  Request again = reqs.make();
+  EXPECT_FALSE(again->done);
+  EXPECT_EQ(reqs.outstanding(), 1u);
+}
+
+TEST(RequestPool, HandlesCountReferencesAndCompareByRecord) {
+  sim::Engine eng;
+  RequestPool reqs(eng);
+  Request a = reqs.make();
+  Request b = a;
+  Request none;
+  EXPECT_TRUE(a);
+  EXPECT_FALSE(none);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(none, nullptr);
+  EXPECT_NE(a, reqs.make());
+  a = nullptr;
+  EXPECT_EQ(reqs.outstanding(), 1u);  // b still holds it
+  b = std::move(none);
+  EXPECT_EQ(reqs.outstanding(), 0u);
 }
 
 }  // namespace

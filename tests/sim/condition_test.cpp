@@ -140,5 +140,102 @@ TEST(Condition, WaitForTimedOutWaiterIgnoresLaterNotify) {
   EXPECT_EQ(wakes, 1);
 }
 
+// Counts frame teardown: every frame below must unwind exactly once.
+struct Unwound {
+  int* n;
+  ~Unwound() { ++*n; }
+};
+
+TEST(Condition, AbortUnwindsConditionWaitersBesideADelay) {
+  Engine eng;
+  Condition cv(eng);
+  int unwound = 0;
+  int resumed = 0;
+  for (int i = 0; i < 3; ++i) {
+    eng.spawn([](Condition& c, int& n, int& r) -> Task<void> {
+      Unwound u{&n};
+      co_await c.wait();
+      ++r;
+    }(cv, unwound, resumed));
+  }
+  eng.spawn([](Engine& e, int& n, int& r) -> Task<void> {
+    Unwound u{&n};
+    co_await e.delay(1000 * kSecond);
+    ++r;
+  }(eng, unwound, resumed));
+  eng.run_until(10);
+  // The first waiter is woken but its wake is still queued at the abort:
+  // the abort resumes it once and drops the wake.
+  cv.notify_one();
+  eng.abort_all();
+  EXPECT_EQ(unwound, 4);
+  EXPECT_EQ(resumed, 0);
+  EXPECT_EQ(eng.live_processes(), 0);
+  // The waiters left the queue as they unwound.
+  cv.notify_all();
+  cv.notify_one();
+  eng.run();
+  EXPECT_EQ(unwound, 4);
+  EXPECT_EQ(eng.now(), 10);
+}
+
+TEST(Condition, AbortUnwindsAWaitForListedOnConditionAndTimer) {
+  Engine eng;
+  Condition cv(eng);
+  int unwound = 0;
+  int resumed = 0;
+  // A wait_for between two plain waiters: its record sits mid-queue and has
+  // a pending timer when the abort comes.
+  eng.spawn([](Condition& c, int& n, int& r) -> Task<void> {
+    Unwound u{&n};
+    co_await c.wait();
+    ++r;
+  }(cv, unwound, resumed));
+  eng.spawn([](Condition& c, int& n, int& r) -> Task<void> {
+    Unwound u{&n};
+    (void)co_await c.wait_for(100);
+    ++r;
+  }(cv, unwound, resumed));
+  eng.spawn([](Condition& c, int& n, int& r) -> Task<void> {
+    Unwound u{&n};
+    co_await c.wait();
+    ++r;
+  }(cv, unwound, resumed));
+  eng.run_until(10);
+  eng.abort_all();
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(resumed, 0);
+  EXPECT_EQ(eng.live_processes(), 0);
+  cv.notify_all();
+  eng.run();  // the timer went with the dropped queue
+  EXPECT_EQ(unwound, 3);
+  EXPECT_EQ(eng.now(), 10);
+}
+
+TEST(Condition, WaitForNotifiedFirstLeavesANoOpTimer) {
+  Engine eng;
+  Condition cv(eng);
+  bool notified = false;
+  int after = 0;
+  eng.spawn([](Condition& c, bool& out, int& a) -> Task<void> {
+    out = co_await c.wait_for(100);
+    // Waiting again on the same condition: the first wait's timer must not
+    // wake this one.
+    co_await c.wait();
+    ++a;
+  }(cv, notified, after));
+  eng.schedule_at(50, [&] { cv.notify_all(); });
+  eng.run_until(99);
+  const std::uint64_t events = eng.events_processed();
+  eng.run();
+  EXPECT_TRUE(notified);
+  EXPECT_EQ(after, 0);
+  EXPECT_EQ(eng.events_processed(), events + 1);  // the disarmed timer fired
+  EXPECT_EQ(eng.now(), 100);
+  eng.schedule_now([&] { cv.notify_all(); });
+  eng.run();
+  EXPECT_EQ(after, 1);
+}
+
 }  // namespace
 }  // namespace gbc::sim
