@@ -1,6 +1,7 @@
 // Shard-scaling benchmark: the full protocol stack (the `gbcsim run`
 // configuration: MiniMPI + Fabric + two group-based checkpoints) run at 1, 2
-// and 4 shards. Each row reports host events/s, the per-shard
+// and 4 shards, each on up to one worker thread per shard leased from the
+// shared ThreadBudget. Each row reports host events/s, the per-shard
 // processed-event split and shard 0's share — the number the per-rank LP
 // partition (DESIGN.md §13) is supposed to drive from ~100% down to the
 // service traffic — plus the engine's rounds, windows and cross-shard
@@ -19,6 +20,7 @@
 #include "harness/cli.hpp"
 #include "harness/experiment.hpp"
 #include "harness/sim_cluster.hpp"
+#include "harness/thread_budget.hpp"
 #include "workloads/microbench.hpp"
 
 namespace {
@@ -179,8 +181,11 @@ int run_fullstack_sweep(int ranks, std::uint64_t iterations) {
   bool hashes_agree = true;
   for (int shards : {1, 2, 4}) {
     if (shards > ranks) continue;
-    const FullstackRow r = run_fullstack(ranks, shards, /*threads=*/0,
-                                         iterations);
+    // Workers leased from the shared budget, as `gbcsim run --threads 0`
+    // does: up to one per shard, fewer when the host is busy.
+    const int threads = harness::ThreadBudget::shared().acquire(shards);
+    const FullstackRow r = run_fullstack(ranks, shards, threads, iterations);
+    harness::ThreadBudget::shared().release(threads);
     if (shards == 1) first_hash = r.hash;
     hashes_agree = hashes_agree && r.hash == first_hash;
     char hash[32];

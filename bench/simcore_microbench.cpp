@@ -197,6 +197,26 @@ void BM_Allreduce(benchmark::State& state) {
 }
 BENCHMARK(BM_Allreduce)->Arg(8)->Arg(32);
 
+// Every rank talks to every other: at n ranks each rank meets n - 1
+// partners, so this pins the per-message cost of finding a partner's lane
+// and link records at high degree. One 1 KiB alltoall per iteration,
+// cluster set-up and connection establishment included.
+void BM_Alltoall(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    MpiStack s(n);
+    for (int r = 0; r < n; ++r) {
+      s.eng.spawn([](mpi::MiniMPI& m, int me) -> sim::Task<void> {
+        co_await m.rank(me).alltoall(m.world(), storage::kKiB);
+      }(s.mpi, r));
+    }
+    s.eng.run();
+    benchmark::DoNotOptimize(s.fabric.packets_sent());
+  }
+  state.SetItemsProcessed(state.iterations() * n * (n - 1));
+}
+BENCHMARK(BM_Alltoall)->Arg(32)->Arg(256)->Unit(benchmark::kMillisecond);
+
 void BM_GroupCheckpointCycle(benchmark::State& state) {
   const int group = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -16,6 +16,13 @@ class Comm {
  public:
   Comm(std::uint64_t id, std::vector<int> members)
       : id_(id), members_(std::move(members)) {
+    for (int i = 0; i < size(); ++i) {
+      if (members_[i] != members_[0] + i) {
+        contiguous_ = false;
+        break;
+      }
+    }
+    if (contiguous_) return;
     by_world_.reserve(members_.size());
     for (int i = 0; i < size(); ++i) by_world_.push_back({members_[i], i});
     std::sort(by_world_.begin(), by_world_.end(),
@@ -33,8 +40,15 @@ class Comm {
   }
 
   /// Comm rank of the given world rank, or -1 if not a member. Runs once
-  /// per completed receive, so it is a binary search over a flat index.
+  /// per completed receive: O(1) when the members are one ascending run of
+  /// world ranks (the world comm, a block split), else a binary search
+  /// over a flat index.
   int comm_rank(int world_rank) const {
+    if (contiguous_) {
+      const std::int64_t i =
+          static_cast<std::int64_t>(world_rank) - (size() ? members_[0] : 0);
+      return i >= 0 && i < size() ? static_cast<int>(i) : -1;
+    }
     auto it = std::lower_bound(
         by_world_.begin(), by_world_.end(), world_rank,
         [](const Entry& e, int w) { return e.world < w; });
@@ -51,7 +65,10 @@ class Comm {
 
   std::uint64_t id_;
   std::vector<int> members_;
-  std::vector<Entry> by_world_;  // (world rank, comm rank), by world rank
+  // The members are one ascending run: members_[i] == members_[0] + i.
+  bool contiguous_ = true;
+  // (world rank, comm rank), by world rank; empty when contiguous_.
+  std::vector<Entry> by_world_;
 };
 
 }  // namespace gbc::mpi

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "mpi/types.hpp"
+#include "sim/fifo.hpp"
 
 namespace gbc::mpi {
 
@@ -51,15 +51,17 @@ class Matcher {
   }
 
   /// Takes the first unexpected message matching (comm, src, tag) in
-  /// arrival order, or nullopt.
+  /// arrival order, or nullopt. A match at the front (every wildcard
+  /// receive) is O(1); a selective match further back removes it in place
+  /// and keeps the rest in arrival order.
   std::optional<Unexpected> take_unexpected(std::uint64_t comm_id,
                                             int match_src, Tag match_tag) {
-    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-      if (envelope_matches(it->env, comm_id, match_src, match_tag)) {
-        Unexpected um = std::move(*it);
-        unexpected_.erase(it);
-        return um;
+    std::size_t i = 0;
+    for (const Unexpected& um : unexpected_) {
+      if (envelope_matches(um.env, comm_id, match_src, match_tag)) {
+        return unexpected_.take(i);
       }
+      ++i;
     }
     return std::nullopt;
   }
@@ -84,7 +86,7 @@ class Matcher {
 
  private:
   std::vector<Request> posted_;
-  std::deque<Unexpected> unexpected_;
+  sim::Fifo<Unexpected> unexpected_;
 };
 
 }  // namespace gbc::mpi

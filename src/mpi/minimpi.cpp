@@ -193,7 +193,9 @@ RecvInfo RankCtx::fill_info(const Envelope& env) const {
 }
 
 Tag RankCtx::begin_collective(const Comm& c) {
-  const std::uint64_t seq = coll_seq_[c.id()]++;
+  const auto id = static_cast<std::size_t>(c.id());
+  if (id >= coll_seq_.size()) coll_seq_.resize(id + 1, 0);
+  const std::uint64_t seq = coll_seq_[id]++;
   return kCollectiveTagBase + static_cast<Tag>(seq << 16);
 }
 
@@ -263,13 +265,14 @@ void RankCtx::account_buffered(OutItem& item) {
 
 void RankCtx::push_out(int dst, OutItem item) {
   assert(dst != rank_);
-  auto& ob = outbound_[dst];
+  const std::uint32_t slot = lanes_.slot(dst);
+  Lane& lane = lanes_.at(slot);
   CommGate* gate = mpi_.gate_;
   const bool deferred = item.gated && gate && !gate->allowed(rank_, dst);
   // Fast path: lane idle, gate open, link up, and no sender-side tax to
   // pay — transmit right here instead of parking the item and spinning up
   // a pump frame. The pump would run exactly this with no suspension.
-  if (!ob.pump_running && ob.q.empty() && !deferred &&
+  if (!lane.pump_running && lane.q.empty() && !deferred &&
       mpi_.fabric_.mirror_connected(rank_, dst)) {
     const bool payload = item.kind == OutItem::Kind::kEager ||
                          item.kind == OutItem::Kind::kRdma;
@@ -282,22 +285,25 @@ void RankCtx::push_out(int dst, OutItem item) {
   if (deferred) {
     account_buffered(item);  // parked immediately: the pair is deferred
   }
-  ob.q.push_back(std::move(item));
-  if (!ob.pump_running) engine().spawn(pump(dst));
+  lane.q.push_back(std::move(item));
+  if (!lane.pump_running) engine().spawn(pump(dst, slot));
 }
 
-sim::Task<void> RankCtx::pump(int dst) {
-  auto& ob = outbound_[dst];
-  ob.pump_running = true;
+sim::Task<void> RankCtx::pump(int dst, std::uint32_t slot) {
+  lanes_.at(slot).pump_running = true;
   auto& fab = mpi_.fabric_;
-  while (!ob.q.empty()) {
-    OutItem& head = ob.q.front();
+  for (;;) {
+    // Re-fetched every pass: a first contact while this frame was
+    // suspended may have moved the lanes.
+    Lane& lane = lanes_.at(slot);
+    if (lane.q.empty()) break;
+    OutItem& head = lane.q.front();
 
     // 1. Checkpoint deferral gate (message / request buffering).
     CommGate* gate = mpi_.gate_;
     if (head.gated && gate && !gate->allowed(rank_, dst)) {
       // Everything queued behind a deferred head is deferred too.
-      for (OutItem& queued : ob.q) {
+      for (OutItem& queued : lane.q) {
         if (queued.gated) account_buffered(queued);
       }
       co_await gate->changed(rank_).wait();
@@ -336,8 +342,7 @@ sim::Task<void> RankCtx::pump(int dst) {
     }
 
     // 4. Transmit.
-    OutItem item = std::move(ob.q.front());
-    ob.q.pop_front();
+    OutItem item = lane.q.pop_front();
     if (item.counted && item.kind == OutItem::Kind::kEager) {
       msg_buffer_cur_ -= item.env.bytes;
     }
@@ -347,7 +352,7 @@ sim::Task<void> RankCtx::pump(int dst) {
     }
     fab.transmit(to_packet(std::move(item)));
   }
-  ob.pump_running = false;
+  lanes_.at(slot).pump_running = false;
 }
 
 // ---------------------------------------------------------------------------

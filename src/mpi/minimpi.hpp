@@ -1,18 +1,17 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "mpi/comm.hpp"
 #include "mpi/matcher.hpp"
 #include "mpi/types.hpp"
 #include "net/fabric.hpp"
+#include "net/peer_records.hpp"
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/pausable.hpp"
 #include "sim/task.hpp"
 
@@ -214,14 +213,19 @@ class RankCtx {
     bool counted = false; // buffering stats recorded already
     bool taxed = false;   // sender-side tax (logging/staging) already paid
   };
-  struct Outbound {
-    std::deque<OutItem> q;
+  /// The outbound lane toward one destination: items held back by the
+  /// gate, the connection or a sender-side tax, oldest first, and whether
+  /// a pump frame is draining them.
+  struct Lane {
+    sim::Fifo<OutItem> q;
     bool pump_running = false;
   };
 
   void push_out(int dst, OutItem item);
   void account_buffered(OutItem& item);
-  sim::Task<void> pump(int dst);
+  /// Drains the lane in `slot` (toward dst). Holds the slot, not the lane:
+  /// lanes to new peers may be added while it is suspended.
+  sim::Task<void> pump(int dst, std::uint32_t slot);
   /// Builds the wire packet, moving the envelope out of the consumed item.
   static net::Packet to_packet(OutItem&& item);
   Request make_request(bool is_recv);
@@ -248,13 +252,16 @@ class RankCtx {
   // Declared before every member that holds a Request, so it outlives them.
   RequestPool reqs_;
   Matcher matcher_;
-  std::map<int, Outbound> outbound_;
+  // One lane per destination, in first-contact order.
+  net::PeerRecords<Lane> lanes_;
   // Open rendezvous requests (sends awaiting FIN, receives awaiting RDMA
   // data), indexed by the slot the envelope carries; freed slots are reused
   // last-in first-out.
   std::vector<Request> rndv_slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::unordered_map<std::uint64_t, std::uint64_t> coll_seq_;  // per comm
+  // Collective sequence numbers, indexed by comm id (ids are dense creation
+  // indexes; see MiniMPI::find_comm).
+  std::vector<std::uint64_t> coll_seq_;
   sim::Condition any_complete_;  // wakes wait_any
   Bytes msg_buffer_cur_ = 0;
   std::uint64_t id_counter_ = 0;

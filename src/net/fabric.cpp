@@ -184,8 +184,8 @@ void Fabric::transmit(Packet&& p) {
   sim::Engine& src_eng = bus_.engine_of(src);
   ++rn.packets;
   rn.bytes += p.bytes;
-  // Sender-side ownership: only src's shard touches src's outbound records.
-  RankNet::Outbound& out = rn.out[dst];
+  // Sender-side ownership: only src's shard touches src's peer records.
+  RankNet::Peer& out = rn.peers.at(rn.peers.slot(dst));
   out.bytes += p.bytes;
   ++out.messages;
   // Serialize on the sender NIC.
@@ -252,8 +252,11 @@ void Fabric::reclaim(int shard) {
 
 sim::Task<void> Fabric::ensure_connected_from(int src, int dst) {
   RankNet& rn = *rank_net_[src];
-  RankNet::Link& link = rn.links[dst];
-  while (link.mirror != ConnState::kConnected) {
+  // A slot, not a reference: src may meet new peers while this waits.
+  const std::uint32_t slot = rn.peers.slot(dst);
+  for (;;) {
+    RankNet::Peer& link = rn.peers.at(slot);
+    if (link.mirror == ConnState::kConnected) break;
     if (link.mirror == ConnState::kDisconnected && !link.requested) {
       link.requested = true;
       bus_.send(src, bus_.svc_lp(), [this, src, dst] {
@@ -266,7 +269,7 @@ sim::Task<void> Fabric::ensure_connected_from(int src, int dst) {
 
 void Fabric::mirror_state(int ep, int peer, ConnState s) {
   RankNet& rn = *rank_net_[ep];
-  RankNet::Link& link = rn.links[peer];
+  RankNet::Peer& link = rn.peers.at(rn.peers.slot(peer));
   link.mirror = s;
   link.requested = false;
   rn.conn_cv.notify_all();
@@ -278,14 +281,14 @@ sim::Task<void> Fabric::drain_outbound(int src, int dst) {
   // the wake registered here fires in the pre-lane at the last arrival
   // instant, and a packet sent meanwhile moves that instant on.
   while (!outbound_drained(src, dst)) {
-    bus_.settle_at(src, outbound(src, dst)->last_arrival,
+    bus_.settle_at(src, record(src, dst)->last_arrival,
                    [&rn] { rn.out_cv.notify_all(); });
     co_await rn.out_cv.wait();
   }
 }
 
 bool Fabric::outbound_drained(int src, int dst) const {
-  const RankNet::Outbound* o = outbound(src, dst);
+  const RankNet::Peer* o = record(src, dst);
   return o == nullptr || o->last_arrival <= bus_.engine_of(src).now();
 }
 
@@ -337,39 +340,36 @@ std::uint64_t Fabric::flight_recs_reused() const noexcept {
   return total;
 }
 
-const Fabric::RankNet::Outbound* Fabric::outbound(int src, int dst) const {
-  return rank_net_[src]->out.find(dst);
-}
-
 Bytes Fabric::bytes_between(int a, int b) const {
   Bytes sum = 0;
-  if (const auto* o = outbound(a, b)) sum += o->bytes;
-  if (const auto* o = outbound(b, a)) sum += o->bytes;
+  if (const auto* o = record(a, b)) sum += o->bytes;
+  if (const auto* o = record(b, a)) sum += o->bytes;
   return sum;
 }
 
 std::int64_t Fabric::messages_between(int a, int b) const {
   std::int64_t sum = 0;
-  if (const auto* o = outbound(a, b)) sum += o->messages;
-  if (const auto* o = outbound(b, a)) sum += o->messages;
+  if (const auto* o = record(a, b)) sum += o->messages;
+  if (const auto* o = record(b, a)) sum += o->messages;
   return sum;
 }
 
 std::vector<std::int64_t> Fabric::traffic_matrix() const {
   std::vector<std::int64_t> m(static_cast<std::size_t>(n_) * n_, 0);
   for (int a = 0; a < n_; ++a) {
-    for (const auto& [b, o] : rank_net_[a]->out) {
-      if (b == a) continue;
+    rank_net_[a]->peers.for_each([&](int b, const RankNet::Peer& o) {
+      if (b == a) return;
       m[static_cast<std::size_t>(a) * n_ + b] += o.bytes;
       m[static_cast<std::size_t>(b) * n_ + a] += o.bytes;
-    }
+    });
   }
   return m;
 }
 
 std::vector<std::int64_t> Fabric::copy_traffic_row(int src) const {
   std::vector<std::int64_t> row(static_cast<std::size_t>(n_), 0);
-  for (const auto& [dst, o] : rank_net_[src]->out) row[dst] = o.bytes;
+  rank_net_[src]->peers.for_each(
+      [&row](int dst, const RankNet::Peer& o) { row[dst] = o.bytes; });
   return row;
 }
 

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <deque>
 #include <map>
 #include <memory>
 #include <new>
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/peer_records.hpp"
 #include "net/topology.hpp"
 #include "sim/condition.hpp"
 #include "sim/engine.hpp"
@@ -238,16 +238,16 @@ class ConnectionManager {
 ///
 /// ## Per-rank ownership (DESIGN.md §13)
 ///
-/// Every piece of mutable per-rank state — the NIC busy horizon, the
-/// per-peer outbound records (last arrival instant and traffic sent), the
-/// connection mirrors — is owned by the rank's home shard; transmit() must
-/// run there. A packet is moved once, into a pooled FlightRec that rides
-/// one ordinary LpBus send to the destination rank's settle bucket, so the
-/// order among same-instant arrivals is canonical at any shard count; the
-/// receiver handles it in place. Each packet costs one bus delivery: nothing
-/// runs on the sender's side when it lands. Records recycle to their home
-/// shard's pool over a lock-free return stack, keeping the hot path
-/// allocation-free in sharded runs too.
+/// Every piece of mutable per-rank state — the NIC busy horizon and one
+/// flat per-peer record holding the connection mirror, the last arrival
+/// instant and the traffic sent — is owned by the rank's home shard;
+/// transmit() must run there. A packet is moved once, into a pooled
+/// FlightRec that rides one ordinary LpBus send to the destination rank's
+/// settle bucket, so the order among same-instant arrivals is canonical at
+/// any shard count; the receiver handles it in place. Each packet costs one
+/// bus delivery: nothing runs on the sender's side when it lands. Records
+/// recycle to their home shard's pool over a lock-free return stack,
+/// keeping the hot path allocation-free in sharded runs too.
 class Fabric {
  public:
   /// Receiver callback: handles the packet in place inside its flight
@@ -279,8 +279,8 @@ class Fabric {
   /// Sender-side connection mirror check (the pump's fast path). Call on
   /// src's shard.
   bool mirror_connected(int src, int dst) const {
-    const auto* link = rank_net_[src]->links.find(dst);
-    return link != nullptr && link->mirror == ConnState::kConnected;
+    const RankNet::Peer* p = record(src, dst);
+    return p != nullptr && p->mirror == ConnState::kConnected;
   }
 
   /// Rank-side establish-or-wait: consults src's local connection mirror,
@@ -380,64 +380,37 @@ class Fabric {
     void operator()();
   };
 
-  /// Tiny per-peer table: a rank talks to a handful of peers, so a linear
-  /// scan beats a node-based map on the per-message hot path (mirror check
-  /// + outbound record on every transmit). Deque storage keeps references
-  /// stable across inserts — pumps and connection waiters hold a slot
-  /// reference across suspension points while other peers get added.
-  template <typename V>
-  class PeerTable {
-   public:
-    V& operator[](int peer) {
-      for (auto& s : slots_)
-        if (s.first == peer) return s.second;
-      slots_.emplace_back(peer, V{});
-      return slots_.back().second;
-    }
-    const V* find(int peer) const {
-      for (const auto& s : slots_)
-        if (s.first == peer) return &s.second;
-      return nullptr;
-    }
-    /// (peer, value) pairs in first-contact order.
-    auto begin() const { return slots_.begin(); }
-    auto end() const { return slots_.end(); }
-
-   private:
-    std::deque<std::pair<int, V>> slots_;
-  };
-
   /// Mutable state owned by one rank's shard.
   struct RankNet {
     explicit RankNet(sim::Engine& eng) : conn_cv(eng), out_cv(eng) {}
     sim::Time nic_busy = 0;
     std::int64_t packets = 0;
     Bytes bytes = 0;
-    /// Connection mirror per peer: last state flip received from the
-    /// manager, plus whether an establishment request is outstanding.
-    struct Link {
+    /// One record per peer this rank has met, as sender or as a mirrored
+    /// connection endpoint. The connection mirror is the last state flip
+    /// received from the manager, plus whether an establishment request is
+    /// outstanding. The outbound side is the arrival instant of the last
+    /// packet sent (drain waits for it) and the data-plane traffic sent
+    /// (group formation reads it); all zero until the first transmit.
+    /// Arrivals per pair strictly increase — the NIC serializes with a
+    /// positive per-message overhead and latency(src, dst) is fixed — so
+    /// the last arrival is the latest one.
+    struct Peer {
       ConnState mirror = ConnState::kDisconnected;
       bool requested = false;
-    };
-    PeerTable<Link> links;
-    sim::Condition conn_cv;
-    /// Per-destination sender-side record: the arrival instant of the last
-    /// packet sent (drain waits for it) and data-plane traffic sent (group
-    /// formation reads it). Sparse: one slot per peer this rank ever
-    /// transmitted to. Arrivals per pair strictly increase — the NIC
-    /// serializes with a positive per-message overhead and latency(src,
-    /// dst) is fixed — so the last arrival is the latest one.
-    struct Outbound {
       sim::Time last_arrival = 0;
       Bytes bytes = 0;
       std::int64_t messages = 0;
     };
-    PeerTable<Outbound> out;
+    PeerRecords<Peer> peers;
+    sim::Condition conn_cv;
     sim::Condition out_cv;
   };
 
-  /// src's record for dst, or null if src never transmitted to dst.
-  const RankNet::Outbound* outbound(int src, int dst) const;
+  /// src's record for dst, or null if src never met dst.
+  const RankNet::Peer* record(int src, int dst) const {
+    return rank_net_[src]->peers.get(dst);
+  }
   FlightRec* acquire_rec(int shard);
   void recycle_local(FlightRec* rec, int caller_shard);
   void recycle_remote(FlightRec* rec);

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "mpi_test_util.hpp"
 #include "sim/time.hpp"
@@ -238,6 +239,51 @@ TEST(Gate, FreezeDuringComputePausesRank) {
     done_at = w.eng.now();
   });
   EXPECT_EQ(done_at, sim::from_seconds(5));  // 2s work + 3s frozen
+}
+
+// Lanes and peer records live in flat vectors that grow on first contact.
+// Rank 0's pump toward rank 1 parks on the closed gate, and its pump toward
+// rank 2 parks in the connection waiter, while rank 0 opens lanes to 63
+// more new peers in the same instant: both vectors grow under the two
+// suspended frames. Every peer must still get its items in FIFO order.
+TEST(Gate, LanesGrowUnderParkedPumpsAndKeepFifoOrder) {
+  constexpr int kNew = 64;  // ranks 2..65: lanes opened behind the parked pump
+  constexpr int kRounds = 3;
+  constexpr int kGated = 5;  // items queued toward rank 1
+  MpiWorld w(2 + kNew);
+  PairGate gate(w.eng);
+  gate.block(0, 1);
+  w.mpi.set_gate(&gate);
+  w.eng.schedule_at(sim::from_seconds(1), [&] { gate.unblock_all(); });
+  std::vector<std::vector<Tag>> got(2 + kNew);
+  sim::Time gated_first = -1;
+  w.run_all([&](RankCtx& r) -> sim::Task<void> {
+    const Comm& wc = w.mpi.world();
+    const int me = r.world_rank();
+    if (me == 0) {
+      for (int t = 0; t < 3; ++t) co_await r.send(wc, 1, t, 512);
+      for (int k = 0; k < kRounds; ++k) {
+        for (int dst = 2; dst < 2 + kNew; ++dst) {
+          co_await r.send(wc, dst, k, 512);
+        }
+      }
+      for (int t = 3; t < kGated; ++t) co_await r.send(wc, 1, t, 512);
+      co_return;
+    }
+    const int n = me == 1 ? kGated : kRounds;
+    for (int i = 0; i < n; ++i) {
+      const RecvInfo info = co_await r.recv(wc, 0, kAnyTag);
+      if (me == 1 && i == 0) gated_first = w.eng.now();
+      got[me].push_back(info.tag);
+    }
+  });
+  EXPECT_GE(gated_first, sim::from_seconds(1));
+  for (int rank = 1; rank < 2 + kNew; ++rank) {
+    const int n = rank == 1 ? kGated : kRounds;
+    ASSERT_EQ(got[rank].size(), static_cast<std::size_t>(n)) << rank;
+    for (int i = 0; i < n; ++i) EXPECT_EQ(got[rank][i], i) << rank;
+  }
+  EXPECT_EQ(w.mpi.rank(0).message_buffer_bytes(), 0);
 }
 
 }  // namespace

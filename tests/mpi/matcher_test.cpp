@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/task.hpp"
 
@@ -119,6 +123,94 @@ TEST_F(MatcherTest, PostedAndUnexpectedAreIndependentPerCommunicator) {
   EXPECT_FALSE(m.take_unexpected(kComm, kAnySource, kAnyTag).has_value());
   EXPECT_EQ(m.posted_count(), 1u);
   EXPECT_EQ(m.unexpected_count(), 1u);
+}
+
+// A deep unexpected queue (masterworker's any-source receives see one at
+// the master): wildcard receives take it front first, in arrival order.
+TEST_F(MatcherTest, DeepUnexpectedQueueDrainsInArrivalOrderToWildcards) {
+  constexpr int kDepth = 4096;
+  for (int i = 0; i < kDepth; ++i) {
+    m.push_unexpected(env(i % 61, i % 7, kComm, i), i % 3 == 0);
+  }
+  EXPECT_EQ(m.unexpected_count(), static_cast<std::size_t>(kDepth));
+  for (int i = 0; i < kDepth; ++i) {
+    // Alternate any-source and any-tag receives; each must see the oldest
+    // message first.
+    const bool any_src = i % 2 == 0;
+    auto um = m.take_unexpected(kComm, any_src ? kAnySource : i % 61,
+                                any_src ? i % 7 : kAnyTag);
+    ASSERT_TRUE(um.has_value()) << i;
+    ASSERT_EQ(um->env.bytes, i);
+    ASSERT_EQ(um->rndv, i % 3 == 0);
+  }
+  EXPECT_EQ(m.unexpected_count(), 0u);
+  EXPECT_FALSE(m.take_unexpected(kComm, kAnySource, kAnyTag).has_value());
+}
+
+// Selective matches remove from the front half, the back half and the
+// middle of the queue; the rest still leaves in arrival order, and the
+// queue refills after draining.
+TEST_F(MatcherTest, SelectiveTakesKeepTheRestInArrivalOrder) {
+  constexpr int kDepth = 64;
+  for (int i = 0; i < kDepth; ++i) {
+    m.push_unexpected(env(i, 0, kComm, i), false);
+  }
+  for (int src : {5, 60, 31, 0, 63, 32}) {
+    auto um = m.take_unexpected(kComm, src, 0);
+    ASSERT_TRUE(um.has_value());
+    EXPECT_EQ(um->env.src_world, src);
+  }
+  m.push_unexpected(env(100, 0, kComm, 100), false);
+  int last = -1;
+  std::size_t left = 0;
+  while (auto um = m.take_unexpected(kComm, kAnySource, kAnyTag)) {
+    EXPECT_GT(um->env.bytes, last);
+    EXPECT_NE(um->env.src_world, 5);
+    EXPECT_NE(um->env.src_world, 31);
+    last = static_cast<int>(um->env.bytes);
+    ++left;
+  }
+  EXPECT_EQ(left, static_cast<std::size_t>(kDepth - 6 + 1));
+  m.push_unexpected(env(1, 0, kComm, 7), false);
+  auto again = m.take_unexpected(kComm, 1, 0);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->env.bytes, 7);
+}
+
+// Arrivals interleaved with wildcard and selective takes, against a plain
+// vector model of the queue: the queue reuses its consumed prefix and
+// compacts while it grows, and the order must survive both.
+TEST_F(MatcherTest, InterleavedArrivalsAndTakesMatchAModelQueue) {
+  std::vector<std::pair<int, Bytes>> model;  // (src, bytes), arrival order
+  std::uint32_t lcg = 12345;
+  auto next = [&lcg](std::uint32_t n) {
+    lcg = lcg * 1664525u + 1013904223u;
+    return (lcg >> 8) % n;
+  };
+  Bytes serial = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint32_t op = next(10);
+    if (op < 5 || model.empty()) {
+      const int src = static_cast<int>(next(8));
+      m.push_unexpected(env(src, 0, kComm, serial), false);
+      model.emplace_back(src, serial++);
+    } else if (op < 7) {
+      auto um = m.take_unexpected(kComm, kAnySource, kAnyTag);
+      ASSERT_TRUE(um.has_value());
+      ASSERT_EQ(um->env.bytes, model.front().second);
+      model.erase(model.begin());
+    } else {
+      const int src = static_cast<int>(next(8));
+      auto um = m.take_unexpected(kComm, src, 0);
+      auto it = std::find_if(model.begin(), model.end(),
+                             [src](const auto& e) { return e.first == src; });
+      ASSERT_EQ(um.has_value(), it != model.end());
+      if (it == model.end()) continue;
+      ASSERT_EQ(um->env.bytes, it->second);
+      model.erase(it);
+    }
+    ASSERT_EQ(m.unexpected_count(), model.size());
+  }
 }
 
 // A frame that holds the last handle to a request and waits on its
